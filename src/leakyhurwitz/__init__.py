@@ -19,8 +19,7 @@ polynomiality (:func:`fit_chamber_polynomial`), wall-crossing jumps
 criteria; ``leakyhurwitz`` is also an installable command-line tool.
 
 Everything user-facing is exact: values are ``fractions.Fraction``
-(or gmpy2 rationals when available) and verification is equality, not
-approximation.
+and verification is equality, not approximation.
 """
 
 from .chambers import (

@@ -147,6 +147,14 @@ def _remove_submultiset(parts, sub):
     return tuple(out)
 
 
+def _balancing_counts(need, k, s):
+    """The insertion counts 0 <= j <= s with need == j * k."""
+    if k == 0:
+        return range(s + 1) if need == 0 else ()
+    j, rem = divmod(need, k)
+    return (j,) if rem == 0 and 0 <= j <= s else ()
+
+
 def disconnected_hurwitz(mu, nu, k, r, s):
     """Disconnected number: sum over splits of the labeled parts into
     blocks, insertions distributed among blocks by counts.
@@ -175,13 +183,15 @@ def disconnected_hurwitz(mu, nu, k, r, s):
             total = Q(0)
             for sub_mu, ways_mu in _submultisets(pool_mu):
                 block_mu = (anchor,) + sub_mu
+                size_mu = sum(block_mu)
                 rest_mu = _remove_submultiset(pool_mu, sub_mu)
                 for sub_nu, ways_nu in _submultisets(rem_nu):
-                    need = sum(block_mu) - sum(sub_nu)
+                    counts = _balancing_counts(size_mu - sum(sub_nu), k,
+                                               rem_s)
+                    if not counts:
+                        continue
                     rest_nu = _remove_submultiset(rem_nu, sub_nu)
-                    for j in range(rem_s + 1):
-                        if need != j * k:
-                            continue
+                    for j in counts:
                         piece = connected_cached(block_mu, sub_nu, k, r, j)
                         if piece == 0:
                             continue
@@ -192,11 +202,11 @@ def disconnected_hurwitz(mu, nu, k, r, s):
             total = Q(0)
             for sub_nu, ways_nu in _submultisets(pool_nu):
                 block_nu = (anchor,) + sub_nu
+                counts = _balancing_counts(-sum(block_nu), k, rem_s)
+                if not counts:
+                    continue
                 rest_nu = _remove_submultiset(pool_nu, sub_nu)
-                need = -sum(block_nu)
-                for j in range(rem_s + 1):
-                    if need != j * k:
-                        continue
+                for j in counts:
                     piece = connected_cached((), block_nu, k, r, j)
                     if piece == 0:
                         continue
@@ -252,10 +262,12 @@ def one_part_closed_genus0(d, m, k):
     This is the chamber polynomial of the connected number h((d), nu)
     with len(nu) = m, r = 1, s = m - 1, for k > 0: there it equals the
     engine for every nu, and criterion 1 checks it on k = 1..3, d <= 10.
-    It is not the number for every k < 0, where the point can lie in
-    another chamber: for (1)/(5,1,1), k=-3 the engine gives 7 and this
-    form gives 5.  The dual h(nu, (d), -k) has the same value.
+    The dual h(nu, (d), -k) has the same value.  k <= 0 raises
+    ValueError: there the point can lie in another chamber, and for
+    (1)/(5,1,1), k=-3 the engine gives 7 where the form would give 5.
     """
+    if k <= 0:
+        raise ValueError("the closed genus-zero form needs k > 0")
     if m < 2:
         raise ValueError("need at least two nu parts")
     value = Q(math.factorial(m - 1), 2 ** (m - 2))
@@ -314,22 +326,31 @@ class HurwitzCache:
     numerator and denominator.  Lookups also try the swapped query
     (nu, mu, -k), which has the same value.  Readers take no lock on
     the in-memory dict beyond the GIL; writers serialize on a lock.
+    A line that does not decode to a full record, such as the tail of
+    an append cut short, is skipped and counted in skipped.
     """
 
     def __init__(self, path=None):
         self._path = path
         self._mem = {}
         self._lock = threading.Lock()
+        self.skipped = 0
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
-                    key = (tuple(rec["mu"]), tuple(rec["nu"]), rec["k"],
-                           rec["r"], rec["s"], rec["connected"])
-                    self._mem[key] = Q(int(rec["num"])) / Q(int(rec["den"]))
+                    try:
+                        rec = json.loads(line)
+                        key = (tuple(rec["mu"]), tuple(rec["nu"]), rec["k"],
+                               rec["r"], rec["s"], rec["connected"])
+                        value = Q(int(rec["num"]), int(rec["den"]))
+                    except (ValueError, KeyError, TypeError,
+                            ZeroDivisionError):
+                        self.skipped += 1
+                        continue
+                    self._mem[key] = value
 
     @staticmethod
     def _key(q):
@@ -356,8 +377,15 @@ class HurwitzCache:
                     "r": q.r, "s": q.s, "connected": q.connected,
                     "num": str(num), "den": str(den),
                 }
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+                with open(self._path, "a+b") as fh:
+                    # a file cut mid-record gets its own line ended first,
+                    # so this record is not glued onto the fragment
+                    if fh.tell():
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            line = b"\n" + line
+                    fh.write(line)
 
     def __len__(self):
         return len(self._mem)

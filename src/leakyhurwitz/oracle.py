@@ -213,6 +213,8 @@ def oracle_disconnected(mu, nu, k, r, s, literal=False):
     nu = tuple(sorted(nu, reverse=True))
     if any(p <= 0 for p in mu + nu):
         raise ValueError("partition parts must be positive")
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
     if sum(mu) != sum(nu) + s * k:
         return QZERO
     window = default_window(mu, nu, k, r, s)

@@ -13,12 +13,10 @@ coefficients.  S(x) = sigma(x)/x is the associated unit series.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
+from fractions import Fraction as Q
 from functools import lru_cache
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -29,19 +27,111 @@ def qdiv(a, b):
     return Q(a) / Q(b)
 
 
+@lru_cache(maxsize=256)
+def _layout(caps):
+    """Bit fields packing one exponent tuple under caps into an int.
+
+    Returns (fields, bias, guard).  Variable i owns fields[i] = (shift,
+    mask) with mask = 2^w - 1, w the bit length of caps[i], and one guard
+    bit just above the field.  Adding two packed monomials adds every
+    field without carries (each sum is at most 2 * cap < 2^(w+1)); adding
+    bias then sets a guard bit exactly where a field went past its cap.
+    """
+    fields = []
+    bias = guard = shift = 0
+    for cap in caps:
+        w = cap.bit_length()
+        fields.append((shift, (1 << w) - 1))
+        bias |= ((1 << w) - 1 - cap) << shift
+        guard |= 1 << (shift + w)
+        shift += w + 1
+    return tuple(fields), bias, guard
+
+
+def _pack(lay, exps):
+    e = 0
+    for x, (shift, _) in zip(exps, lay[0]):
+        e |= x << shift
+    return e
+
+
+def _unpack(lay, e):
+    return tuple((e >> shift) & mask for shift, mask in lay[0])
+
+
+class _Terms(Mapping):
+    """Read-only view of a series: exponent tuple -> nonzero Fraction."""
+
+    __slots__ = ("_s",)
+
+    def __init__(self, s):
+        self._s = s
+
+    def __len__(self):
+        return len(self._s._num)
+
+    def __iter__(self):
+        lay = self._s._lay
+        return (_unpack(lay, e) for e in self._s._num)
+
+    def __getitem__(self, exps):
+        try:
+            c = self._s.coefficient(exps)
+        except ValueError:
+            c = QZERO
+        if not c:
+            raise KeyError(exps)
+        return c
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class TruncSeries:
     """Sparse exact series with an independent degree cap per variable.
 
-    terms maps exponent tuples (componentwise <= caps) to nonzero
-    rationals.  Instances are treated as immutable: no method mutates an
-    existing instance, which keeps concurrent readers safe.
+    Monomials are stored packed into ints (see _layout) and coefficients
+    as nonzero int numerators over one positive denominator.  Every
+    result is reduced so that no prime divides the denominator and all
+    numerators at once; equal series are then equal field by field, and
+    multiplication never touches a Fraction.  The terms property shows
+    the same data as a Mapping from exponent tuples to Fractions.
+    Instances are treated as immutable: no method mutates an existing
+    instance, which keeps concurrent readers safe.
     """
 
-    __slots__ = ("caps", "terms")
+    __slots__ = ("caps", "_lay", "_num", "_den")
 
     def __init__(self, caps, terms=None):
+        """A series from a dict of exponent tuples to rationals."""
         self.caps = tuple(caps)
-        self.terms = {} if terms is None else terms
+        self._lay = _layout(self.caps)
+        self._num = {}
+        self._den = 1
+        if terms:
+            coeffs = {}
+            for exps, c in terms.items():
+                c = Q(c)
+                if c:
+                    self._check_exps(tuple(exps))
+                    coeffs[_pack(self._lay, exps)] = c
+            self._den = math.lcm(*(c.denominator for c in coeffs.values()))
+            self._num = {e: c.numerator * (self._den // c.denominator)
+                         for e, c in coeffs.items()}
+
+    @classmethod
+    def _make(cls, caps, lay, num, den):
+        """Wrap int numerators over den, reduced to lowest terms."""
+        g = math.gcd(den, *num.values()) if num else den
+        if g != 1:
+            den //= g
+            num = {e: n // g for e, n in num.items()}
+        out = object.__new__(cls)
+        out.caps = caps
+        out._lay = lay
+        out._num = num
+        out._den = den
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -51,9 +141,7 @@ class TruncSeries:
 
     @classmethod
     def const(cls, caps, c):
-        c = Q(c)
-        if c == 0:
-            return cls(caps)
+        caps = tuple(caps)
         return cls(caps, {(0,) * len(caps): c})
 
     @classmethod
@@ -67,16 +155,19 @@ class TruncSeries:
             if c and caps[i] >= 1:
                 e = [0] * n
                 e[i] = 1
-                terms[tuple(e)] = Q(c)
+                terms[tuple(e)] = c
         return cls(caps, terms)
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
+    @property
+    def terms(self):
+        return _Terms(self)
 
-    def coefficient(self, exps):
-        exps = tuple(exps)
+    def is_zero(self):
+        return not self._num
+
+    def _check_exps(self, exps):
         if len(exps) != len(self.caps):
             raise ValueError("exponent tuple has wrong length")
         for e, cap in zip(exps, self.caps):
@@ -84,48 +175,56 @@ class TruncSeries:
                 raise ValueError(f"exponent {exps} beyond caps {self.caps}")
             if e < 0:
                 raise ValueError("negative exponent")
-        return self.terms.get(exps, QZERO)
+
+    def coefficient(self, exps):
+        exps = tuple(exps)
+        self._check_exps(exps)
+        n = self._num.get(_pack(self._lay, exps))
+        return QZERO if n is None else Q(n, self._den)
 
     def min_total_degree(self):
         """Smallest total degree with a nonzero coefficient; None if zero."""
-        if not self.terms:
+        if not self._num:
             return None
         return min(sum(e) for e in self.terms)
 
     def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.caps == other.caps and self.terms == other.terms)
+        return (isinstance(other, TruncSeries) and self.caps == other.caps
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.caps, frozenset(self.terms.items())))
+        return hash((self.caps, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return f"TruncSeries(caps={self.caps}, 0)"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            bits.append(f"{self.terms[e]}*z^{e}")
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
+            bits.append(f"{terms[e]}*z^{e}")
         return f"TruncSeries(caps={self.caps}, " + " + ".join(bits) + ")"
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = ({e: n * fa for e, n in self._num.items()} if fa != 1
+               else dict(self._num))
+        for e, n in other._num.items():
+            v = out.get(e, 0) + n * fb
+            if v:
+                out[e] = v
             else:
-                v = v + c
-                if v == 0:
-                    del out[e]
-                else:
-                    out[e] = v
-        return TruncSeries(self.caps, out)
+                del out[e]
+        return TruncSeries._make(self.caps, self._lay, out, den)
 
     def __neg__(self):
-        return TruncSeries(self.caps, {e: -c for e, c in self.terms.items()})
+        return TruncSeries._make(self.caps, self._lay,
+                                 {e: -n for e, n in self._num.items()},
+                                 self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,35 +234,32 @@ class TruncSeries:
             c = Q(other)
             if c == 0:
                 return TruncSeries(self.caps)
-            return TruncSeries(self.caps,
-                               {e: v * c for e, v in self.terms.items()})
+            p = c.numerator
+            return TruncSeries._make(
+                self.caps, self._lay,
+                {e: n * p for e, n in self._num.items()},
+                self._den * c.denominator)
         self._check(other)
-        caps = self.caps
-        out = {}
-        a, b = self.terms, other.terms
+        lay = self._lay
+        _, bias, guard = lay
+        a, b = self._num, other._num
         if len(a) > len(b):
             a, b = b, a
         bitems = list(b.items())
+        # keys carry the bias until the end, so one add per pair both
+        # forms the product monomial and exposes a field past its cap
+        out = {}
+        get = out.get
         for e1, c1 in a.items():
+            e1 += bias
             for e2, c2 in bitems:
-                e = tuple(map(sum, zip(e1, e2)))
-                ok = True
-                for x, cap in zip(e, caps):
-                    if x > cap:
-                        ok = False
-                        break
-                if not ok:
+                e = e1 + e2
+                if e & guard:
                     continue
-                v = out.get(e)
-                if v is None:
-                    out[e] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v == 0:
-                        del out[e]
-                    else:
-                        out[e] = v
-        return TruncSeries(caps, out)
+                out[e] = get(e, 0) + c1 * c2
+        return TruncSeries._make(
+            self.caps, lay, {e - bias: v for e, v in out.items() if v},
+            self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -249,8 +345,7 @@ def invert_unit_series(s):
 
     Raises ValueError on a non-unit.
     """
-    zero_exp = (0,) * len(s.caps)
-    c0 = s.terms.get(zero_exp, QZERO)
+    c0 = s.coefficient((0,) * len(s.caps))
     if c0 == 0:
         raise ValueError("cannot invert a series with zero constant term")
     # s = c0 (1 - w) with w of positive minimal degree; 1/s = (1/c0) sum w^j.

@@ -146,6 +146,12 @@ class TestOnePart:
         assert one_part_closed_genus0(5, 4, 1) == 108
         with pytest.raises(ValueError):
             one_part_closed_genus0(5, 1, 1)
+        # (1)/(5,1,1) at k=-3 lies outside the form's chamber (engine: 7)
+        assert connected_hurwitz((1,), (5, 1, 1), -3, 1, 2) == 7
+        with pytest.raises(ValueError):
+            one_part_closed_genus0(1, 3, -3)
+        with pytest.raises(ValueError):
+            one_part_closed_genus0(5, 3, 0)
 
     def test_closed_equals_series_for_every_shape(self):
         for d in (5, 7, 9):
@@ -288,6 +294,30 @@ class TestCache:
         assert res.value == 1
         reloaded = HurwitzCache(path)
         assert reloaded.lookup(q) == res.value
+
+    def test_torn_last_line_is_skipped_and_the_next_append_is_clean(
+            self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = HurwitzCache(str(path))
+        queries = [make_query((5,), (2, 2), 1, 1, 1),
+                   make_query((2, 2), (2,), 2, 1, 1, connected=False),
+                   make_query((3,), (1, 1), 1, 1, 1)]
+        values = [evaluate(q, cache).value for q in queries]
+        data = path.read_bytes()
+        assert data.count(b"\n") == 3 and data.endswith(b"\n")
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(data[:last + (len(data) - last) // 2])
+
+        torn = HurwitzCache(str(path))
+        assert torn.skipped == 1
+        assert len(torn) == 2
+        assert [torn.lookup(q) for q in queries] == values[:2] + [None]
+
+        assert evaluate(queries[2], torn).method == "engine"
+        reloaded = HurwitzCache(str(path))
+        assert reloaded.skipped == 1
+        assert [reloaded.lookup(q) for q in queries] == values
+        assert path.read_bytes().count(b"\n") == 4
 
     def test_duality_lookup(self):
         cache = HurwitzCache()

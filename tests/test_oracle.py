@@ -183,3 +183,8 @@ class TestDisconnected:
     def test_bad_parts_rejected(self):
         with pytest.raises(ValueError):
             oracle_disconnected((0,), (1,), 1, 1, 0)
+
+    @pytest.mark.parametrize("r,s", [(1, -1), (0, 1), (-2, 0)])
+    def test_bad_r_or_s_rejected_before_the_window(self, r, s):
+        with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
+            oracle_disconnected((1,), (1,), 0, r, s)

@@ -1,7 +1,9 @@
 """Exact series arithmetic: frozen expansions and ring properties."""
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -150,3 +152,84 @@ def test_zero_variable_ring():
     one = TruncSeries.const((), 1)
     assert (one * one).coefficient(()) == 1
     assert sigma_series((), ()).is_zero()
+
+
+# -- the packed integer kernel against plain dicts of Fractions ---------
+
+# (7,) and (8,) sit either side of a field-width boundary (3 and 4 bits)
+KERNEL_CAPS = [(), (0,), (1, 1), (3, 2), (7,), (8,), (2,) * 6]
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(caps, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if all(x <= cap for x, cap in zip(e, caps)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_matches(s, ref):
+    ref = {e: Fraction(c) for e, c in ref.items() if c}
+    assert dict(s.terms) == ref
+    assert s.terms == ref
+    assert len(s.terms) == len(ref)
+    assert s.is_zero() == (not ref)
+    assert s == TruncSeries(s.caps, ref)
+    for e in itertools.product(*(range(cap + 1) for cap in s.caps)):
+        got = s.coefficient(e)
+        assert type(got) is Fraction
+        assert got == ref.get(e, 0)
+        assert s.terms.get(e) == ref.get(e)
+
+
+@pytest.mark.parametrize("caps", KERNEL_CAPS)
+def test_kernel_matches_fraction_dict_reference(caps):
+    rng = random.Random(repr(caps))
+
+    def rand_terms():
+        # negative and unreduced inputs (n*g / d*g), ints, explicit zeros
+        t = {}
+        for _ in range(rng.randrange(0, 9)):
+            e = tuple(rng.randrange(cap + 1) for cap in caps)
+            g = rng.randrange(1, 4)
+            n, d = rng.randrange(-12, 13), rng.randrange(1, 9)
+            t[e] = rng.choice([Fraction(n * g, d * g), n, 0])
+        return t
+
+    for _ in range(30):
+        ta, tb = rand_terms(), rand_terms()
+        ra, rb = _ref_add(ta, {}), _ref_add(tb, {})
+        a, b = TruncSeries(caps, ta), TruncSeries(caps, tb)
+        _assert_matches(a, ra)
+        _assert_matches(a + b, _ref_add(ra, rb))
+        _assert_matches(-a, {e: -c for e, c in ra.items()})
+        _assert_matches(a - b, _ref_add(ra, {e: -c for e, c in rb.items()}))
+        _assert_matches(a - a, {})
+        _assert_matches(a * b, _ref_mul(caps, ra, rb))
+        c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        _assert_matches(a * c, {e: v * c for e, v in ra.items()})
+        _assert_matches(c * a, {e: v * c for e, v in ra.items()})
+        _assert_matches(a * 3, {e: v * 3 for e, v in ra.items()})
+        assert (a == b) == (ra == rb)
+        assert (a + b) - b == a
+
+
+@pytest.mark.parametrize("caps", [c for c in KERNEL_CAPS if c])
+def test_kernel_coefficient_errors(caps):
+    s = TruncSeries.const(caps, Fraction(2, 3))
+    with pytest.raises(ValueError, match="wrong length"):
+        s.coefficient(caps + (0,))
+    with pytest.raises(ValueError, match="beyond caps"):
+        s.coefficient((caps[0] + 1,) + caps[1:])
+    with pytest.raises(ValueError, match="negative"):
+        s.coefficient((-1,) + caps[1:])
+    assert s.terms.get((caps[0] + 1,) + caps[1:]) is None
