@@ -23,6 +23,7 @@ from typing import NamedTuple
 from .series import Q, TruncSeries, sigma_over_sigma
 from .fock import (
     alpha_op,
+    canonical_partition,
     connected_hurwitz,
     disconnected_vev_series,
     insertion_op,
@@ -45,11 +46,8 @@ class LatticePoint(NamedTuple):
 
 
 def lattice_point(mu, nu, k):
-    mu = tuple(sorted((int(p) for p in mu), reverse=True))
-    nu = tuple(sorted((int(p) for p in nu), reverse=True))
-    if any(p <= 0 for p in mu + nu):
-        raise ValueError("partition parts must be positive")
-    return LatticePoint(mu, nu, int(k))
+    return LatticePoint(canonical_partition(mu), canonical_partition(nu),
+                        int(k))
 
 
 class Wall(NamedTuple):
@@ -335,34 +333,14 @@ def disconnected_series(left_alphas, insertion_vars, right_alphas, k, caps):
     return disconnected_vev_series(ops, caps)
 
 
-def _h_factor_left(mu_parts, nu_parts, kvars, k, delta, caps):
-    """H_{mu_I, nu_J + delta}: the delta part joins the nu side."""
-    series = disconnected_series(
-        list(mu_parts), list(kvars),
-        [-p for p in nu_parts] + [-delta], k, caps)
-    denom = Q(delta)
-    for p in mu_parts:
-        denom *= p
-    for p in nu_parts:
-        denom *= p
-    return series * (Q(1) / denom)
-
-
-def _h_factor_right(mu_parts, nu_parts, kvars, k, delta, caps):
-    """H_{mu_{I^c} + delta, nu_{J^c}}: the delta part joins the mu side."""
-    ops = [alpha_op(delta)] + [alpha_op(p) for p in mu_parts]
-    ops += [insertion_op(-k, v) for v in kvars]
-    ops += [alpha_op(-p) for p in nu_parts]
-    if sum(op.energy for op in ops) != 0:
-        series = TruncSeries.zero(tuple(caps))
-    else:
-        series = disconnected_vev_series(ops, caps)
-    denom = Q(delta)
-    for p in mu_parts:
-        denom *= p
-    for p in nu_parts:
-        denom *= p
-    return series * (Q(1) / denom)
+def _h_factor(left_alphas, insertion_vars, right_alphas, k, caps):
+    """One H factor of the crossing formula: the disconnected series
+    divided by the product of the boson energies' absolute values."""
+    denom = Q(1)
+    for e in left_alphas + right_alphas:
+        denom *= abs(e)
+    return (disconnected_series(left_alphas, insertion_vars, right_alphas,
+                                k, caps) * (Q(1) / denom))
 
 
 def wall_crossing_series(w, point, r, s):
@@ -408,8 +386,11 @@ def wall_crossing_series(w, point, r, s):
             ratio = (sigma_over_sigma(1, delta, K, caps)
                      * sigma_over_sigma(1, delta, Kc, caps)
                      * full_ratio * (Q(delta) ** 2))
-            h_left = _h_factor_left(mu_I, nu_J, K, k, delta, caps)
-            h_right = _h_factor_right(mu_Ic, nu_Jc, Kc, k, delta, caps)
+            # H_{mu_I, nu_J + delta} and H_{mu_{I^c} + delta, nu_{J^c}}
+            h_left = _h_factor(mu_I, K, [-p for p in nu_J] + [-delta],
+                               k, caps)
+            h_right = _h_factor([delta] + mu_Ic, Kc, [-p for p in nu_Jc],
+                                k, caps)
             total = total + ratio * h_left * h_right
     return total.coefficient((r + 1,) * s)
 

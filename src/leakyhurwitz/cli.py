@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .chambers import (
     ChamberFitError,
@@ -32,17 +31,17 @@ from .chambers import (
 from .cutjoin import verify_cut_and_join
 from .fock import (
     commutation_tree_dot,
-    connected_vev_series,
+    connected_hurwitz,
     hurwitz_sequence,
 )
 from .numbers import (
     HurwitzCache,
     HurwitzResult,
+    bounded_profiles,
     evaluate,
     genus_of,
     make_query,
 )
-from .series import Q
 from . import verify as verify_mod
 
 CACHE_ENV = "LEAKYHURWITZ_CACHE"
@@ -62,7 +61,7 @@ def parse_parts(text, flag):
     parts = []
     for pos, tok in enumerate(text.split(","), start=1):
         tok = tok.strip()
-        if not tok.isdigit() or int(tok) == 0:
+        if not tok.isdecimal() or int(tok) == 0:
             raise UsageError(
                 f"{flag}: position {pos}: expected a positive integer "
                 f"part, got {tok!r}")
@@ -77,7 +76,7 @@ def parse_indices(text, flag, length, side):
     out = set()
     for pos, tok in enumerate(text.split(","), start=1):
         tok = tok.strip()
-        if not tok.isdigit() or int(tok) == 0:
+        if not tok.isdecimal() or int(tok) == 0:
             raise UsageError(
                 f"{flag}: position {pos}: expected a 1-based part "
                 f"position, got {tok!r}")
@@ -91,7 +90,13 @@ def parse_indices(text, flag, length, side):
 
 
 def resolve_s(args, m, n):
-    """The insertion count, either given or derived from the genus."""
+    """The insertion count, either given or derived from the genus.
+
+    Every subcommand that takes --r calls this first, so --r is also
+    checked here.
+    """
+    if args.r < 1:
+        raise UsageError(f"--r: must be >= 1, got {args.r}")
     if args.s != "auto":
         try:
             s = int(args.s)
@@ -115,7 +120,7 @@ def parse_caps(text, r, s):
     caps = []
     for pos, tok in enumerate(text.split(","), start=1):
         tok = tok.strip()
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise UsageError(f"--caps: position {pos}: expected a "
                              f"nonnegative integer, got {tok!r}")
         caps.append(int(tok))
@@ -195,14 +200,7 @@ def cmd_compute(args, out):
             raise UsageError("--caps: the truncation override applies "
                              "to connected queries only")
         start = time.perf_counter()
-        ops = hurwitz_sequence(q.mu, q.nu, q.k, q.s)
-        if ops:
-            value = connected_vev_series(ops, caps).coefficient(
-                (q.r + 1,) * q.s)
-            for p in q.mu + q.nu:
-                value /= p
-        else:
-            value = Q(0)
+        value = connected_hurwitz(q.mu, q.nu, q.k, q.r, q.s, caps=caps)
         ms = (time.perf_counter() - start) * 1000.0
         rec = number_record(HurwitzResult(value, q, "engine-caps", ms))
     else:
@@ -210,18 +208,6 @@ def cmd_compute(args, out):
         rec = number_record(res)
     emit_records([rec], args.format, out)
     return 0
-
-
-def _bounded_profiles(max_part, max_len):
-    """All descending profiles with at most max_len parts <= max_part."""
-    import itertools
-    out = [()]
-    for length in range(1, max_len + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(max_part, 0, -1), length):
-            out.append(combo)
-    out.sort(key=lambda p: (len(p), p))
-    return out
 
 
 def cmd_table(args, out):
@@ -234,7 +220,9 @@ def cmd_table(args, out):
     if args.s == "auto":
         raise UsageError("--s: table needs an explicit insertion count")
     s = resolve_s(args, 0, 0)
-    profiles = _bounded_profiles(args.max_part, args.max_len)
+    # shortest first, ascending within a length
+    profiles = [p for length in range(args.max_len + 1)
+                for p in reversed(bounded_profiles(args.max_part, length))]
     queries = []
     for mu in profiles:
         for nu in profiles:
@@ -244,9 +232,8 @@ def cmd_table(args, out):
                 queries.append(make_query(mu, nu, k, args.r, s,
                                           args.connected))
     cache = open_cache(args)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(lambda q: evaluate(q, cache), queries))
-    emit_records([number_record(res) for res in results], args.format, out)
+    emit_records([number_record(evaluate(q, cache)) for q in queries],
+                 args.format, out)
     return 0
 
 
@@ -432,15 +419,11 @@ def cmd_selftest(args, out):
 
 # -- argument wiring -----------------------------------------------------
 
-def _add_common(p, threads=False):
+def _add_common(p):
     p.add_argument("--format", choices=FORMATS, default="plain",
                    help="output format (default plain)")
     p.add_argument("--cache", default=None,
                    help=f"cache file path (default ${CACHE_ENV})")
-    if threads:
-        p.add_argument("--threads", type=int,
-                       default=os.cpu_count() or 1,
-                       help="worker pool size (default logical cores)")
 
 
 def _add_query_flags(p, need_point=True):
@@ -480,7 +463,7 @@ def build_parser():
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", default="auto")
     p.add_argument("--connected", action="store_true")
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("chamber-fit", help="exact chamber polynomial")

@@ -24,20 +24,8 @@ from .numbers import (
     aut_factor,
     canonical_partition,
     disconnected_hurwitz,
+    partitions_of,
 )
-
-
-def partitions_of(total, max_part=None):
-    """Partitions of total as descending tuples; partitions_of(0) = [()]."""
-    if total < 0:
-        return
-    if total == 0:
-        yield ()
-        return
-    cap = total if max_part is None else min(max_part, total)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(total - first, first):
-            yield (first,) + rest
 
 
 def _bracket(A, B, r):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .series import (
     Q,
     TruncSeries,
-    sigma_ratio_series,
+    sigma_over_sigma,
     sigma_series,
 )
 
@@ -32,6 +32,14 @@ class EOp(NamedTuple):
     energy: int
     zvars: frozenset
     corrected: bool = False
+
+
+def canonical_partition(parts):
+    """Parts as a descending tuple of ints; nonpositive parts raise."""
+    parts = tuple(sorted((int(p) for p in parts), reverse=True))
+    if any(p <= 0 for p in parts):
+        raise ValueError("partition parts must be positive")
+    return parts
 
 
 def alpha_op(n):
@@ -97,8 +105,8 @@ def _vev(seq, caps):
         # final merge: edge weight times the central expectation
         # sigma(a z_K)/sigma(z_K); nonzero energy has expectation zero
         if a + b == 0:
-            total = total + sigma_ratio_series(
-                a, frozenset(a_op.zvars | b_op.zvars), caps)
+            total = total + sigma_over_sigma(
+                a, 1, a_op.zvars | b_op.zvars, caps)
     else:
         edge = sigma_series(
             _edge_form(a, a_op.zvars, b, b_op.zvars, len(caps)), caps)
@@ -177,18 +185,21 @@ def hurwitz_sequence(mu, nu, k, s):
     return tuple(ops)
 
 
-def connected_hurwitz(mu, nu, k, r, s):
+def connected_hurwitz(mu, nu, k, r, s, caps=None):
     """Connected k-leaky double Hurwitz number with (r+1)-cycle insertions.
 
     Extracts the coefficient of prod z_i^(r+1) from the connected
-    correlator and divides by prod(mu) * prod(nu).
+    correlator and divides by prod(mu) * prod(nu).  caps overrides the
+    truncation degree of each z_i (default r+1); the value is the same
+    for any caps of length s with every cap at least r+1.
     """
-    mu = tuple(sorted((int(p) for p in mu), reverse=True))
-    nu = tuple(sorted((int(p) for p in nu), reverse=True))
-    if any(p <= 0 for p in mu + nu):
-        raise ValueError("partition parts must be positive")
+    mu = canonical_partition(mu)
+    nu = canonical_partition(nu)
     if r < 1 or s < 0:
         raise ValueError("need r >= 1 and s >= 0")
+    caps = (r + 1,) * s if caps is None else tuple(caps)
+    if len(caps) != s or any(c < r + 1 for c in caps):
+        raise ValueError("need one cap >= r+1 per insertion")
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
     # each of the len-2 merges contributes an odd-degree sigma edge, so
@@ -200,7 +211,6 @@ def connected_hurwitz(mu, nu, k, r, s):
     ops = hurwitz_sequence(mu, nu, k, s)
     if not ops:
         return Q(0)
-    caps = (r + 1,) * s
     series = connected_vev_series(ops, caps)
     val = series.coefficient((r + 1,) * s)
     denom = Q(1)

@@ -16,27 +16,41 @@ import math
 import os
 import threading
 import time
+from functools import lru_cache
 from typing import NamedTuple
 
 from .series import (
     Q,
-    sigma_ratio_series,
+    sigma_over_sigma,
     sigma_series,
     zvars_form,
 )
 from .fock import (
-    alpha_op,
+    canonical_partition,
     connected_hurwitz,
     disconnected_vev_series,
-    insertion_op,
+    hurwitz_sequence,
 )
 
 
-def canonical_partition(parts):
-    parts = tuple(sorted((int(p) for p in parts), reverse=True))
-    if any(p <= 0 for p in parts):
-        raise ValueError("partition parts must be positive")
-    return parts
+@lru_cache(maxsize=None)
+def partitions_of(total, max_part=None):
+    """Partitions of total with parts <= max_part, as descending tuples
+    in descending lexicographic order; partitions_of(0) == ((),)."""
+    if total < 0:
+        return ()
+    if total == 0:
+        return ((),)
+    cap = total if max_part is None else min(max_part, total)
+    return tuple((first,) + rest for first in range(cap, 0, -1)
+                 for rest in partitions_of(total - first, first))
+
+
+def bounded_profiles(max_part, length):
+    """Descending profiles of exactly length parts in 1..max_part, in
+    descending lexicographic order."""
+    return tuple(itertools.combinations_with_replacement(
+        range(max_part, 0, -1), length))
 
 
 def aut_factor(parts):
@@ -240,7 +254,7 @@ def one_part_connected_series(d, nu, k, r, s):
         return Q(1, d) if nu == (d,) else Q(0)
     caps = (r + 1,) * s
     # ratio sigma(nu_0 z_[s]) / sigma(z_[s])
-    total = sigma_ratio_series(nu[0], range(s), caps)
+    total = sigma_over_sigma(nu[0], 1, range(s), caps)
     for part in nu[1:]:
         total = total * sigma_series(zvars_form(part, range(s), s), caps)
     for p in range(1, s + 1):
@@ -294,21 +308,15 @@ def cmr_leaky_r1(mu, nu, k, s, aut=False):
         raise ValueError("need s >= 0")
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
-    caps = (2,) * s
-    ops = [alpha_op(p) for p in mu]
-    ops += [insertion_op(-k, v) for v in range(s)]
-    ops += [alpha_op(-p) for p in nu]
+    series = disconnected_vev_series(hurwitz_sequence(mu, nu, k, s),
+                                     (2,) * s)
     c_k = Q(k * k - 1, 24)
     total = Q(0)
-    if ops:
-        series = disconnected_vev_series(ops, caps)
-        for pattern in itertools.product((2, 0), repeat=s):
-            zeros = pattern.count(0)
-            if zeros and c_k == 0:
-                continue
-            total += (-c_k) ** zeros * series.coefficient(pattern)
-    elif s == 0:
-        total = Q(1)
+    for pattern in itertools.product((2, 0), repeat=s):
+        zeros = pattern.count(0)
+        if zeros and c_k == 0:
+            continue
+        total += (-c_k) ** zeros * series.coefficient(pattern)
     denom = Q(1)
     for p in mu + nu:
         denom *= p

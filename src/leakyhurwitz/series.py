@@ -22,11 +22,6 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
-def qdiv(a, b):
-    """Exact a/b for ints or rationals."""
-    return Q(a) / Q(b)
-
-
 @lru_cache(maxsize=256)
 def _layout(caps):
     """Bit fields packing one exponent tuple under caps into an int.
@@ -182,18 +177,9 @@ class TruncSeries:
         n = self._num.get(_pack(self._lay, exps))
         return QZERO if n is None else Q(n, self._den)
 
-    def min_total_degree(self):
-        """Smallest total degree with a nonzero coefficient; None if zero."""
-        if not self._num:
-            return None
-        return min(sum(e) for e in self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.caps == other.caps
                 and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.caps, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
         if not self._num:
@@ -278,10 +264,6 @@ def zvars_form(coeff, vars_, nvars):
     return tuple(form)
 
 
-def form_is_zero(form):
-    return not any(form)
-
-
 # -- sigma and friends ------------------------------------------------
 
 def sigma_series(form, caps):
@@ -298,23 +280,7 @@ def sigma_series(form, caps):
 @lru_cache(maxsize=4096)
 def _sigma_series(form, caps):
     L = TruncSeries.from_form(form, caps)
-    if L.is_zero():
-        # either the zero form, or every variable with nonzero coefficient
-        # is capped at degree 0: sigma then truncates to 0 as well.
-        return TruncSeries.zero(caps)
-    out = TruncSeries.zero(caps)
-    power = L            # L^(2m+1)
-    L2 = L * L
-    m = 0
-    fact = QONE          # (2m+1)!
-    four = QONE          # 4^m
-    while not power.is_zero():
-        out = out + power * (QONE / (four * fact))
-        m += 1
-        power = power * L2
-        fact = fact * ((2 * m) * (2 * m + 1))
-        four = four * 4
-    return out
+    return _sigma_taylor(TruncSeries.zero(caps), L, L * L, 0)
 
 
 def unit_s_series(form, caps, scale=1):
@@ -323,20 +289,23 @@ def unit_s_series(form, caps, scale=1):
     S(x) = sum_{m>=0} x^(2m) / (4^m (2m+1)!), so the constant term is 1.
     """
     L = TruncSeries.from_form(form, caps) * Q(scale)
-    out = TruncSeries.const(caps, 1)
-    if L.is_zero():
-        return out
     L2 = L * L
-    power = L2
-    m = 1
-    fact = Q(6)          # (2m+1)!
-    four = Q(4)          # 4^m
+    return _sigma_taylor(TruncSeries.const(caps, 1), L2, L2, 1)
+
+
+def _sigma_taylor(out, power, L2, m):
+    """out + sum_{j>=m} power * L2^(j-m) / (4^j (2j+1)!), up to the caps.
+
+    The shared coefficients of sigma(L) (out = 0, power = L, m = 0) and
+    of S(L) (out = 1, power = L^2, m = 1).  A zero L (the zero form, or
+    every variable it touches capped at degree 0) adds nothing.
+    """
+    den = 4 ** m * math.factorial(2 * m + 1)
     while not power.is_zero():
-        out = out + power * (QONE / (four * fact))
+        out = out + power * Q(1, den)
         m += 1
         power = power * L2
-        fact = fact * ((2 * m) * (2 * m + 1))
-        four = four * 4
+        den *= 4 * (2 * m) * (2 * m + 1)
     return out
 
 
@@ -358,21 +327,6 @@ def invert_unit_series(s):
     return out * (QONE / c0)
 
 
-def sigma_ratio_series(e, vars_, caps):
-    """sigma(e * z_V) / sigma(z_V) as a capped series, V = vars_.
-
-    Equal to e * S(e*z_V) / S(z_V); an even unit series times e.  For
-    e = 0 the numerator vanishes identically and the zero series is
-    returned.
-    """
-    if e == 0:
-        return TruncSeries.zero(caps)
-    form = zvars_form(1, vars_, len(caps))
-    num = unit_s_series(form, caps, scale=e)
-    den = unit_s_series(form, caps, scale=1)
-    return (num * invert_unit_series(den)) * Q(e)
-
-
 def sigma_over_sigma(a, b, vars_, caps):
     """sigma(a * z_V) / sigma(b * z_V) for nonzero b.
 
@@ -386,9 +340,4 @@ def sigma_over_sigma(a, b, vars_, caps):
     form = zvars_form(1, vars_, len(caps))
     num = unit_s_series(form, caps, scale=a)
     den = unit_s_series(form, caps, scale=b)
-    return (num * invert_unit_series(den)) * qdiv(a, b)
-
-
-def coefficient_at(s, exps):
-    """Exact coefficient of the given exponent tuple (errors beyond caps)."""
-    return s.coefficient(exps)
+    return (num * invert_unit_series(den)) * Q(a, b)

@@ -9,11 +9,9 @@ module both run these.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
-from functools import lru_cache
 from typing import NamedTuple
 
 from .chambers import (
@@ -31,9 +29,11 @@ from .cutjoin import verify_cut_and_join
 from .fock import connected_hurwitz
 from .numbers import (
     aut_factor,
+    bounded_profiles,
     cmr_leaky_r1,
     disconnected_hurwitz,
     one_part_closed_genus0,
+    partitions_of,
 )
 from .oracle import oracle_disconnected
 from .series import Q
@@ -63,28 +63,6 @@ def _report(number, name, t0, checked, failures, extra=""):
     return CriterionReport(number, name, ok, checked,
                            failures[:MAX_FAILURES], detail,
                            int((time.perf_counter() - t0) * 1000))
-
-
-@lru_cache(maxsize=None)
-def partitions_of(total):
-    """All partitions of total, parts descending, as a tuple."""
-    if total < 0:
-        return ()
-    if total == 0:
-        return ((),)
-    out = []
-
-    def rec(rem, cap, acc):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        for first in range(min(cap, rem), 0, -1):
-            acc.append(first)
-            rec(rem - first, first, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return tuple(out)
 
 
 def partitions_with_length(total, length):
@@ -442,8 +420,8 @@ def genus0_grid():
             s = m + n - 2
             if s < 1:
                 continue
-            for mu in _bounded_profiles(m):
-                for nu in _bounded_profiles(n):
+            for mu in bounded_profiles(6, m):
+                for nu in bounded_profiles(6, n):
                     diff = sum(mu) - sum(nu)
                     if diff % s != 0:
                         continue
@@ -451,13 +429,6 @@ def genus0_grid():
                     if abs(k) > 4:
                         continue
                     yield mu, nu, k, s
-
-
-@lru_cache(maxsize=None)
-def _bounded_profiles(length):
-    """Descending tuples of the given length with parts in 1..6."""
-    return tuple(itertools.combinations_with_replacement(
-        range(6, 0, -1), length))
 
 
 def criterion_10():

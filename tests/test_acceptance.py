@@ -24,8 +24,16 @@ RUNTIME_CAPS_MS = {
 }
 
 
-@pytest.mark.parametrize("number", sorted(ALL_CRITERIA),
-                         ids=lambda n: f"criterion-{n:02d}")
+# the oracle sweep and the genus-zero grid; `pytest -m "not slow"`
+# leaves them out for a quick local run
+SLOW = {3, 10}
+
+
+@pytest.mark.parametrize(
+    "number",
+    [pytest.param(n, marks=pytest.mark.slow) if n in SLOW else n
+     for n in sorted(ALL_CRITERIA)],
+    ids=lambda n: f"criterion-{n:02d}")
 def test_criterion(number):
     report = ALL_CRITERIA[number]()
     line = format_report(report)

@@ -1,15 +1,20 @@
 """Command-line interface: records, formats, exit codes, caching."""
+import contextlib
+import io
 import json
+import pathlib
 import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.cli import main
 
 ONE_PART = ["--mu", "5", "--nu", "1,1,1", "--k", "1", "--r", "1", "--s", "2"]
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def strip_ms(text):
@@ -126,18 +131,13 @@ class TestTable:
             nu = [int(p) for p in row[1].split()] if row[1] else []
             assert sum(mu) == sum(nu) + int(row[4]) * int(row[2])
 
-    def test_value_independent_of_thread_count(self, capsys):
-        assert main([*self.GRID, "--format", "json", "--threads", "1"]) == 0
-        one = strip_ms(capsys.readouterr().out)
-        assert main([*self.GRID, "--format", "json", "--threads", "4"]) == 0
-        four = strip_ms(capsys.readouterr().out)
-        assert one == four
-
     def test_records_are_byte_stable(self, capsys):
         assert main([*self.GRID, "--format", "json"]) == 0
         first = strip_ms(capsys.readouterr().out)
         assert main([*self.GRID, "--format", "json"]) == 0
         assert strip_ms(capsys.readouterr().out) == first
+        assert first == (GOLDEN / "table_grid.json").read_text(
+            encoding="utf-8")
 
 
 class TestChamberFit:
@@ -240,6 +240,89 @@ class TestTreeDump:
         code = main(["tree-dump", "--mu", "", "--nu", "", "--k", "0",
                      "--r", "1", "--s", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("name,argv", [
+        ("tree_2_11_k0.dot",
+         ["--mu", "2", "--nu", "1,1", "--k", "0", "--s", "1"]),
+        ("tree_5_22_k1_max4.dot",
+         ["--mu", "5", "--nu", "2,2", "--k", "1", "--s", "1",
+          "--max-nodes", "4"]),
+        ("tree_3_1_k1_s2.dot",
+         ["--mu", "3", "--nu", "1", "--k", "1", "--s", "2"]),
+        ("tree_3_111_k0_caps3.dot",
+         ["--mu", "3", "--nu", "1,1,1", "--k", "0", "--s", "1",
+          "--caps", "3", "--max-nodes", "40"]),
+    ])
+    def test_golden_dot(self, capsys, name, argv):
+        assert main(["tree-dump", "--r", "1", *argv]) == 0
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
+
+# Valid flags per subcommand; the fuzz test spoils exactly one of them.
+VALID_FLAGS = {
+    "compute": {"--mu": "5", "--nu": "1,1,1", "--k": "1", "--r": "1",
+                "--s": "2", "--caps": "3,3"},
+    "table": {"--max-part": "2", "--max-len": "1", "--r": "1", "--s": "1"},
+    "chamber-fit": {"--mu": "9,3", "--nu": "6,2", "--k": "2", "--r": "1",
+                    "--s": "2"},
+    "wall-cross": {"--mu": "9,3", "--nu": "6,2", "--k": "2", "--r": "1",
+                   "--s": "2", "--wall-I": "1", "--wall-J": "1",
+                   "--wall-t": "1"},
+    "tree-dump": {"--mu": "3", "--nu": "1", "--k": "1", "--r": "1",
+                  "--s": "2", "--caps": "2,2"},
+    "cutjoin-verify": {"--nu": "2,1", "--k": "1", "--r": "1", "--s": "2"},
+}
+EXTRA_SWITCHES = {"compute": ["--connected"]}
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+BAD_R = st.integers(max_value=0).map(str)
+BAD_S = st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.text(max_size=8).filter(lambda t: t != "auto" and _not_an_int(t)))
+# a blank token would turn a one-part list into the valid empty profile
+BAD_TOKEN = st.one_of(
+    st.sampled_from(["0", "00"]),
+    st.integers(max_value=-1).map(str),
+    st.text(min_size=1, max_size=6).filter(
+        lambda t: "," not in t and t.strip()
+        and not t.strip().isdecimal()))
+BAD_VALUE = {"--r": BAD_R, "--s": BAD_S}
+PARTS_FLAGS = ("--mu", "--nu", "--caps")
+TARGETS = [(sub, flag) for sub, flags in VALID_FLAGS.items()
+           for flag in flags if flag in BAD_VALUE or flag in PARTS_FLAGS]
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bad_input_is_a_usage_error(self, data):
+        sub, flag = data.draw(st.sampled_from(TARGETS))
+        if flag in PARTS_FLAGS:
+            token = data.draw(BAD_TOKEN)
+            good = VALID_FLAGS[sub][flag].split(",")
+            pos = data.draw(st.integers(0, len(good) - 1))
+            good[pos] = token
+            value = ",".join(good)
+        else:
+            value = data.draw(BAD_VALUE[flag])
+        flags = dict(VALID_FLAGS[sub], **{flag: value})
+        argv = [sub, *(f"{f}={v}" for f, v in flags.items()),
+                *EXTRA_SWITCHES.get(sub, [])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert err.getvalue().startswith("usage error"), argv
+        assert out.getvalue() == "", argv
 
 
 class TestProcessLevel:

@@ -55,7 +55,7 @@ class TestConnectedSeries:
         # the first surviving degree is len(ops)-2 and steps by two
         ops = [alpha_op(2), alpha_op(1), insertion_op(-1, 0), alpha_op(-2)]
         s = connected_vev_series(ops, (3,))
-        assert s.min_total_degree() == 2
+        assert min(sum(e) for e in s.terms) == 2
         assert s.coefficient((3,)) == 0
 
     def test_memo_survives_clearing(self):
@@ -106,6 +106,18 @@ class TestConnectedNumbers:
             connected_hurwitz((1,), (1,), 0, 0, 1)
         with pytest.raises(ValueError):
             connected_hurwitz((1,), (1,), 0, 1, -1)
+
+    @pytest.mark.parametrize("caps", [(3, 4), (2, 6), (5, 5)])
+    def test_larger_caps_keep_the_value(self, caps):
+        assert connected_hurwitz((5,), (1, 1, 1), 1, 1, 2, caps=caps) == 9
+        assert connected_hurwitz((6, 2), (3, 1), 2, 1, 2, caps=caps) == 10
+
+    @pytest.mark.parametrize("caps", [(1, 2), (2,), (2, 2, 2)])
+    def test_bad_caps_rejected(self, caps):
+        # checked before the shortcuts, so an unbalanced query raises too
+        for mu in ((5,), (4,)):
+            with pytest.raises(ValueError):
+                connected_hurwitz(mu, (1, 1, 1), 1, 1, 2, caps=caps)
 
     def test_parity_vanishing(self):
         # r*s + m + n odd forces zero

@@ -10,10 +10,8 @@ import pytest
 from leakyhurwitz.series import (
     Q,
     TruncSeries,
-    coefficient_at,
     invert_unit_series,
     sigma_over_sigma,
-    sigma_ratio_series,
     sigma_series,
     unit_s_series,
     zvars_form,
@@ -56,16 +54,16 @@ def test_sigma_is_odd_under_negation():
 
 def test_sigma_ratio_frozen_example():
     # sigma(2z)/sigma(z) = 2 cosh(z/2) = 2 + z^2/4 + ...
-    r = sigma_ratio_series(2, (0,), (2,))
+    r = sigma_over_sigma(2, 1, (0,), (2,))
     assert r.terms == {(0,): Q(2), (2,): Q(1, 4)}
 
 
 def test_sigma_ratio_zero_multiplier():
-    assert sigma_ratio_series(0, (0,), (3,)).is_zero()
+    assert sigma_over_sigma(0, 1, (0,), (3,)).is_zero()
 
 
 def test_sigma_ratio_minus_one_is_constant():
-    r = sigma_ratio_series(-1, (0, 1), (2, 2))
+    r = sigma_over_sigma(-1, 1, (0, 1), (2, 2))
     assert r == TruncSeries.const((2, 2), -1)
 
 
@@ -73,7 +71,7 @@ def test_sigma_ratio_minus_one_is_constant():
 def test_sigma_ratio_times_denominator(e):
     caps = (4, 3)
     vars_ = (0, 1)
-    lhs = sigma_ratio_series(e, vars_, caps) * sigma_series(
+    lhs = sigma_over_sigma(e, 1, vars_, caps) * sigma_series(
         zvars_form(1, vars_, 2), caps)
     rhs = sigma_series(zvars_form(e, vars_, 2), caps)
     assert lhs == rhs
@@ -111,13 +109,13 @@ def test_invert_non_unit_raises():
 def test_coefficient_beyond_cap_raises():
     s = sigma_series((1,), (3,))
     with pytest.raises(ValueError):
-        coefficient_at(s, (4,))
+        s.coefficient((4,))
 
 
 def test_coefficient_reads():
     s = sigma_series((1,), (5,))
-    assert coefficient_at(s, (3,)) == Q(1, 24)
-    assert coefficient_at(s, (2,)) == 0
+    assert s.coefficient((3,)) == Q(1, 24)
+    assert s.coefficient((2,)) == 0
 
 
 def test_ring_properties_randomized():
