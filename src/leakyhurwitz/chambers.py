@@ -145,11 +145,17 @@ class ChamberPoly(NamedTuple):
         coords = mu + nu
         total = Q(0)
         for exps, c in self.coeffs.items():
-            term = c
-            for x, e in zip(coords, exps):
-                term *= Q(x) ** e
-            total += term
+            total += c * _eval_monomial(exps, coords)
         return total
+
+    def named_terms(self):
+        """(monomial, coefficient) pairs, largest exponents first; a
+        monomial reads like m1^2*n1^1, and the constant one as 1."""
+        names = [f"m{i + 1}" for i in range(self.m)]
+        names += [f"n{j + 1}" for j in range(self.n)]
+        for exps, c in sorted(self.coeffs.items(), reverse=True):
+            mono = "*".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
+            yield mono or "1", c
 
     def realized_degree(self):
         deg = -1
@@ -315,32 +321,22 @@ def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
 
 # -- wall crossing -----------------------------------------------------
 
-def disconnected_series(left_alphas, insertion_vars, right_alphas, k, caps):
-    """Disconnected correlator series for a mixed alpha/insertion shape.
+def _h_factor(left_alphas, insertion_vars, right_alphas, k, caps):
+    """One H factor of the crossing formula: the disconnected series of a
+    mixed alpha/insertion shape divided by the product of the boson
+    energies' absolute values.
 
     left_alphas and right_alphas are signed boson energies placed left
     and right of the insertion block; insertion_vars lists the
-    z-variable index of each energy -k insertion.  Assembled by
-    summing connected pieces over set partitions.
+    z-variable index of each energy -k insertion.
     """
     ops = [alpha_op(e) for e in left_alphas]
     ops += [insertion_op(-k, v) for v in insertion_vars]
     ops += [alpha_op(e) for e in right_alphas]
-    if not ops:
-        return TruncSeries.const(tuple(caps), Q(1))
-    if sum(op.energy for op in ops) != 0:
-        return TruncSeries.zero(tuple(caps))
-    return disconnected_vev_series(ops, caps)
-
-
-def _h_factor(left_alphas, insertion_vars, right_alphas, k, caps):
-    """One H factor of the crossing formula: the disconnected series
-    divided by the product of the boson energies' absolute values."""
     denom = Q(1)
     for e in left_alphas + right_alphas:
         denom *= abs(e)
-    return (disconnected_series(left_alphas, insertion_vars, right_alphas,
-                                k, caps) * (Q(1) / denom))
+    return disconnected_vev_series(ops, caps) * (Q(1) / denom)
 
 
 def wall_crossing_series(w, point, r, s):
@@ -434,10 +430,7 @@ def format_chamber_report(poly):
         f"degree bound: {poly.degree}  realized: {poly.realized_degree()}",
         f"terms: {len(poly.coeffs)}",
     ]
-    for exps, c in sorted(poly.coeffs.items(), reverse=True):
-        names = [f"m{i + 1}" for i in range(poly.m)]
-        names += [f"n{j + 1}" for j in range(poly.n)]
-        mono = "*".join(f"{v}^{e}" for v, e in zip(names, exps) if e) or "1"
+    for mono, c in poly.named_terms():
         lines.append(f"  {c}  {mono}")
     return "\n".join(lines)
 

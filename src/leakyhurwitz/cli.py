@@ -45,11 +45,19 @@ from .numbers import (
 from . import verify as verify_mod
 
 CACHE_ENV = "LEAKYHURWITZ_CACHE"
-FORMATS = ("plain", "json", "csv")
+RECORD_FORMATS = ("plain", "json", "csv")
+REPORT_FORMATS = ("plain", "json")
 
 
 class UsageError(Exception):
     """Invalid command input; the message names the offending flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are usage errors, not exits."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # -- parsing helpers -----------------------------------------------------
@@ -257,13 +265,8 @@ def cmd_chamber_fit(args, out):
         return 1
     ms = round((time.perf_counter() - start) * 1000.0, 3)
     if args.format == "json":
-        names = [f"m{i + 1}" for i in range(poly.m)]
-        names += [f"n{j + 1}" for j in range(poly.n)]
-        terms = {}
-        for exps, c in sorted(poly.coeffs.items(), reverse=True):
-            mono = "*".join(f"{v}^{e}" for v, e in zip(names, exps)
-                            if e) or "1"
-            terms[mono] = f"{c.numerator}/{c.denominator}"
+        terms = {mono: f"{c.numerator}/{c.denominator}"
+                 for mono, c in poly.named_terms()}
         rec = {
             "mu": list(base.mu), "nu": list(base.nu), "k": base.k,
             "r": poly.r, "s": poly.s,
@@ -274,8 +277,6 @@ def cmd_chamber_fit(args, out):
             "ms": ms,
         }
         out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        raise UsageError("--format: chamber-fit emits plain or json")
     else:
         out.write(format_chamber_report(poly) + "\n")
     return 0
@@ -323,8 +324,6 @@ def cmd_wall_cross(args, out):
             "ms": ms,
         }
         out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        raise UsageError("--format: wall-cross emits plain or json")
     else:
         out.write(format_wall_report(w, point, value, delta) + "\n")
     return status
@@ -419,9 +418,12 @@ def cmd_selftest(args, out):
 
 # -- argument wiring -----------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--format", choices=FORMATS, default="plain",
+def _add_format(p, formats):
+    p.add_argument("--format", choices=formats, default="plain",
                    help="output format (default plain)")
+
+
+def _add_cache(p):
     p.add_argument("--cache", default=None,
                    help=f"cache file path (default ${CACHE_ENV})")
 
@@ -441,7 +443,7 @@ def _add_query_flags(p, need_point=True):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leakyhurwitz",
         description="Exact leaky completed-cycles double Hurwitz numbers")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -452,7 +454,8 @@ def build_parser():
                    help="connected count (default disconnected)")
     p.add_argument("--caps", default=None,
                    help="per-insertion truncation override (connected only)")
-    _add_common(p)
+    _add_format(p, RECORD_FORMATS)
+    _add_cache(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="grid of numbers over profile ranges")
@@ -463,12 +466,13 @@ def build_parser():
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", default="auto")
     p.add_argument("--connected", action="store_true")
-    _add_common(p)
+    _add_format(p, RECORD_FORMATS)
+    _add_cache(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("chamber-fit", help="exact chamber polynomial")
     _add_query_flags(p)
-    _add_common(p)
+    _add_format(p, REPORT_FORMATS)
     p.set_defaults(func=cmd_chamber_fit)
 
     p = sub.add_parser("wall-cross", help="wall-crossing jump at a point")
@@ -477,7 +481,7 @@ def build_parser():
     p.add_argument("--wall-J", default="", help="1-based nu positions")
     p.add_argument("--wall-t", type=int, required=True,
                    help="insertion label of the wall")
-    _add_common(p)
+    _add_format(p, REPORT_FORMATS)
     p.set_defaults(func=cmd_wall_cross)
 
     p = sub.add_parser("cutjoin-verify",
@@ -487,14 +491,14 @@ def build_parser():
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", default="1")
     p.add_argument("--genus", type=int, default=None)
-    _add_common(p)
+    _add_format(p, REPORT_FORMATS)
     p.set_defaults(func=cmd_cutjoin_verify)
 
     p = sub.add_parser("oracle-verify",
                        help="engine vs direct Fock oracle sweep")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--max-s", type=int, default=3)
-    _add_common(p)
+    _add_format(p, REPORT_FORMATS)
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser("tree-dump",
@@ -503,22 +507,19 @@ def build_parser():
     p.add_argument("--caps", default=None,
                    help="per-insertion truncation override")
     p.add_argument("--max-nodes", type=int, default=400)
-    _add_common(p)
     p.set_defaults(func=cmd_tree_dump)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default all)")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ coefficient-by-coefficient against directly computed numbers.
 """
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 from .series import (
     Q,
@@ -20,6 +20,7 @@ from .series import (
     unit_s_series,
 )
 from .numbers import (
+    _remove_submultiset,
     _submultisets,
     aut_factor,
     canonical_partition,
@@ -28,11 +29,13 @@ from .numbers import (
 )
 
 
+@lru_cache(maxsize=4096)
 def _bracket(A, B, r):
     """[z^(r+1)] (1/sigma(z)) prod sigma(a z) prod sigma(b z).
 
     Zero whenever r and |A|+|B| have different parities (the product is
-    an even or odd series times z^(|A|+|B|-1)).
+    an even or odd series times z^(|A|+|B|-1)).  Memoized, so A and B
+    must be tuples.
     """
     if not A and not B:
         raise ValueError("need at least one part in A or B")
@@ -74,9 +77,7 @@ def apply_Q(f, k, r):
             target = sum(B) + k
             if target < 0:
                 continue
-            rest = list(prof)
-            for b in B:
-                rest.remove(b)
+            rest = _remove_submultiset(prof, B)
             for A in partitions_of(target):
                 if not A and not B:
                     continue
@@ -86,7 +87,7 @@ def apply_Q(f, k, r):
                 denom = aut_factor(A)
                 for a in A:
                     denom *= a
-                new_prof = tuple(sorted(rest + list(A), reverse=True))
+                new_prof = tuple(sorted(rest + A, reverse=True))
                 add = coeff * br * Q(ways, denom)
                 prev = out.get(new_prof, Q(0)) + add
                 if prev == 0:

@@ -1,13 +1,18 @@
-"""Connected vacuum expectations via the operator commutation tree.
+"""Vacuum expectations via the operator commutation tree.
 
 Correlators of boson operators and loop-weighted insertion operators are
 evaluated symbolically: the leftmost negative-energy operator is commuted
 toward the left end, where it annihilates the covacuum.  Each commutation
 step branches into a swap and a merge; a merge multiplies the running
 series by an edge weight sigma(a z_B - b z_A) and fuses the two labels.
-Central contributions split off a connected component, so for connected
-correlators they are kept only when the final merge consumes the whole
-sequence.  The recursion is memoized globally on (sequence, caps).
+A pair of energies a + b = 0 also leaves a central term: a for two
+bosons, sigma(a z_K)/sigma(z_K) otherwise, with z_K the sum of the
+pair's z-variables.  One recursion serves both kinds of correlator.
+The full expectation keeps every central term, times the expectation of
+the sequence without the pair (the empty sequence gives 1).  A central
+term splits off a connected component, so the connected expectation
+keeps it only when the pair is the whole sequence.  The recursion is
+memoized globally on (sequence, caps, connected).
 
 Operator labels are (energy, zvars, corrected) triples: bosons alpha_n
 carry no z-variables; an insertion in variable i carries zvars={i}.
@@ -74,12 +79,14 @@ def _edge_form(a, avars, b, bvars, nvars):
     return tuple(form)
 
 
-def _vev(seq, caps):
+def _vev(seq, caps, connected):
     zero = TruncSeries.zero(caps)
-    if len(seq) - 2 > sum(caps):
+    if connected and len(seq) - 2 > sum(caps):
         # every surviving history carries one edge weight per non-final
         # merge, so the series starts in total degree len(seq) - 2
         return zero
+    if not seq:
+        return TruncSeries.const(caps, Q(1))
     p = None
     for i, op in enumerate(seq):
         if op.energy < 0:
@@ -89,33 +96,50 @@ def _vev(seq, caps):
         # no annihilator left (rightmost label kills the vacuum), or the
         # leftmost one hit the covacuum
         return zero
-    key = (seq, caps)
+    key = (seq, caps, connected)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
     a_op, b_op = seq[p - 1], seq[p]
     a, b = a_op.energy, b_op.energy
     swapped = seq[:p - 1] + (b_op, a_op) + seq[p + 1:]
-    total = _vev(swapped, caps)
-    if not a_op.zvars and not b_op.zvars:
-        # boson-boson merge is purely central
-        if a + b == 0 and len(seq) == 2:
-            total = total + TruncSeries.const(caps, Q(a))
-    elif len(seq) == 2:
-        # final merge: edge weight times the central expectation
-        # sigma(a z_K)/sigma(z_K); nonzero energy has expectation zero
-        if a + b == 0:
-            total = total + sigma_over_sigma(
-                a, 1, a_op.zvars | b_op.zvars, caps)
-    else:
+    total = _vev(swapped, caps, connected)
+    if a + b == 0 and (len(seq) == 2 or not connected):
+        if not a_op.zvars and not b_op.zvars:
+            central = TruncSeries.const(caps, Q(a))
+        else:
+            # edge weight times the central expectation sigma(a z_K)/sigma(z_K)
+            central = sigma_over_sigma(a, 1, a_op.zvars | b_op.zvars, caps)
+        if len(seq) == 2:
+            total = total + central
+        else:
+            total = total + central * _vev(
+                seq[:p - 1] + seq[p + 1:], caps, False)
+    if (a_op.zvars or b_op.zvars) and len(seq) > 2:
+        # boson-boson merges are purely central; a merge into a single
+        # label leaves an expectation of zero
         edge = sigma_series(
             _edge_form(a, a_op.zvars, b, b_op.zvars, len(caps)), caps)
         if not edge.is_zero():
             merged = EOp(a + b, a_op.zvars | b_op.zvars, True)
             rest = seq[:p - 1] + (merged,) + seq[p + 1:]
-            total = total + edge * _vev(rest, caps)
+            total = total + edge * _vev(rest, caps, connected)
     _MEMO[key] = total
     return total
+
+
+def _expectation(ops, caps, connected):
+    """The label checks both public entry points share, then _vev."""
+    caps = tuple(caps)
+    seq = tuple(ops)
+    for op in seq:
+        if op.energy == 0 and not op.corrected:
+            raise ValueError("zero-energy labels must be corrected")
+        if any(v < 0 or v >= len(caps) for v in op.zvars):
+            raise ValueError("zvars index outside caps range")
+    if sum(op.energy for op in seq) != 0:
+        return TruncSeries.zero(caps)
+    return _vev(seq, caps, connected)
 
 
 def connected_vev_series(ops, caps):
@@ -125,56 +149,19 @@ def connected_vev_series(ops, caps):
     zvars index must lie below len(caps) and zero-energy labels must be
     corrected.
     """
-    caps = tuple(caps)
-    seq = tuple(ops)
-    for op in seq:
-        if op.energy == 0 and not op.corrected:
-            raise ValueError("zero-energy labels must be corrected")
-        if any(v < 0 or v >= len(caps) for v in op.zvars):
-            raise ValueError("zvars index outside caps range")
-    if not seq:
+    ops = tuple(ops)
+    if not ops:
         raise ValueError("empty operator sequence")
-    if len(seq) == 1:
-        return TruncSeries.zero(caps)
-    if sum(op.energy for op in seq) != 0:
-        return TruncSeries.zero(caps)
-    return _vev(seq, caps)
+    return _expectation(ops, caps, True)
 
 
 def disconnected_vev_series(ops, caps):
-    """Disconnected vacuum expectation: sum over set partitions of the
-    labeled operators, each block contributing its connected expectation
-    on the subsequence in original order.
+    """Full (disconnected) vacuum expectation of a sequence of EOp labels.
 
-    The empty sequence has expectation 1.
+    Same labels and caps as connected_vev_series; the empty sequence
+    has expectation 1.
     """
-    caps = tuple(caps)
-    seq = tuple(ops)
-    memo = {}
-
-    def rec(indices):
-        if not indices:
-            return TruncSeries.const(caps, Q(1))
-        hit = memo.get(indices)
-        if hit is not None:
-            return hit
-        rest = sorted(indices)
-        anchor, others = rest[0], rest[1:]
-        total = TruncSeries.zero(caps)
-        # the block containing the anchor ranges over subsets of the rest
-        for mask in range(1 << len(others)):
-            block = [anchor]
-            for j, idx in enumerate(others):
-                if mask >> j & 1:
-                    block.append(idx)
-            part = connected_vev_series([seq[i] for i in sorted(block)], caps)
-            if part.is_zero():
-                continue
-            total = total + part * rec(indices - frozenset(block))
-        memo[indices] = total
-        return total
-
-    return rec(frozenset(range(len(seq))))
+    return _expectation(ops, caps, False)
 
 
 def hurwitz_sequence(mu, nu, k, s):

@@ -191,41 +191,28 @@ def disconnected_hurwitz(mu, nu, k, r, s):
         hit = memo.get(key)
         if hit is not None:
             return hit
-        # anchor the largest remaining mu part (nu part if mu is spent)
-        if rem_mu:
-            anchor, pool_mu = rem_mu[0], rem_mu[1:]
-            total = Q(0)
-            for sub_mu, ways_mu in _submultisets(pool_mu):
-                block_mu = (anchor,) + sub_mu
-                size_mu = sum(block_mu)
-                rest_mu = _remove_submultiset(pool_mu, sub_mu)
-                for sub_nu, ways_nu in _submultisets(rem_nu):
-                    counts = _balancing_counts(size_mu - sum(sub_nu), k,
-                                               rem_s)
-                    if not counts:
-                        continue
-                    rest_nu = _remove_submultiset(rem_nu, sub_nu)
-                    for j in counts:
-                        piece = connected_cached(block_mu, sub_nu, k, r, j)
-                        if piece == 0:
-                            continue
-                        total += (Q(ways_mu * ways_nu * math.comb(rem_s, j))
-                                  * piece * rec(rest_mu, rest_nu, rem_s - j))
-        else:
-            anchor, pool_nu = rem_nu[0], rem_nu[1:]
-            total = Q(0)
+        # anchor the largest remaining mu part (nu part if mu is spent);
+        # the spent side contributes () as its anchor and pool
+        cut = 0 if rem_mu else 1
+        anchor_mu, pool_mu = rem_mu[:1], rem_mu[1:]
+        anchor_nu, pool_nu = rem_nu[:cut], rem_nu[cut:]
+        total = Q(0)
+        for sub_mu, ways_mu in _submultisets(pool_mu):
+            block_mu = anchor_mu + sub_mu
+            size_mu = sum(block_mu)
+            rest_mu = _remove_submultiset(pool_mu, sub_mu)
             for sub_nu, ways_nu in _submultisets(pool_nu):
-                block_nu = (anchor,) + sub_nu
-                counts = _balancing_counts(-sum(block_nu), k, rem_s)
+                block_nu = anchor_nu + sub_nu
+                counts = _balancing_counts(size_mu - sum(block_nu), k, rem_s)
                 if not counts:
                     continue
                 rest_nu = _remove_submultiset(pool_nu, sub_nu)
                 for j in counts:
-                    piece = connected_cached((), block_nu, k, r, j)
+                    piece = connected_cached(block_mu, block_nu, k, r, j)
                     if piece == 0:
                         continue
-                    total += (Q(ways_nu * math.comb(rem_s, j))
-                              * piece * rec((), rest_nu, rem_s - j))
+                    total += (Q(ways_mu * ways_nu * math.comb(rem_s, j))
+                              * piece * rec(rest_mu, rest_nu, rem_s - j))
         memo[key] = total
         return total
 

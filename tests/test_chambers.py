@@ -5,11 +5,11 @@ import pytest
 
 from leakyhurwitz.chambers import (
     ChamberSampleError,
+    _h_factor,
     _in_chamber_samples,
     all_walls,
     complement_wall,
     delta_of,
-    disconnected_series,
     fit_chamber_polynomial,
     format_chamber_report,
     format_wall_report,
@@ -156,18 +156,21 @@ class TestChamberFit:
 
 
 class TestDisconnectedSeries:
+    """The H factors of the crossing formula: full correlators of mixed
+    shapes divided by the boson energies."""
+
     def test_one_part_shape_scales_by_energies(self):
-        ser = disconnected_series([5], [0], [-2, -2], 1, (2,))
-        assert ser.coefficient((2,)) == 5 * 2 * 2 * connected_hurwitz(
+        ser = _h_factor([5], [0], [-2, -2], 1, (2,))
+        assert ser.coefficient((2,)) == connected_hurwitz(
             (5,), (2, 2), 1, 1, 1)
 
     def test_empty_shape_is_one(self):
-        ser = disconnected_series([], [], [], 0, (2,))
+        ser = _h_factor([], [], [], 0, (2,))
         assert ser.coefficient((0,)) == 1
         assert ser.coefficient((2,)) == 0
 
     def test_unbalanced_shape_is_zero(self):
-        ser = disconnected_series([3], [0], [-1], 1, (2,))
+        ser = _h_factor([3], [0], [-1], 1, (2,))
         assert ser.is_zero()
 
 

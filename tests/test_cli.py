@@ -270,7 +270,7 @@ VALID_FLAGS = {
                    "--s": "2", "--wall-I": "1", "--wall-J": "1",
                    "--wall-t": "1"},
     "tree-dump": {"--mu": "3", "--nu": "1", "--k": "1", "--r": "1",
-                  "--s": "2", "--caps": "2,2"},
+                  "--s": "2", "--caps": "2,2", "--max-nodes": "400"},
     "cutjoin-verify": {"--nu": "2,1", "--k": "1", "--r": "1", "--s": "2"},
 }
 EXTRA_SWITCHES = {"compute": ["--connected"]}
@@ -284,7 +284,9 @@ def _not_an_int(text):
     return False
 
 
-BAD_R = st.integers(max_value=0).map(str)
+# argparse rejects these for every type=int flag
+NOT_AN_INT = st.text(max_size=8).filter(_not_an_int)
+BAD_R = st.one_of(st.integers(max_value=0).map(str), NOT_AN_INT)
 BAD_S = st.one_of(
     st.integers(max_value=-1).map(str),
     st.text(max_size=8).filter(lambda t: t != "auto" and _not_an_int(t)))
@@ -295,7 +297,9 @@ BAD_TOKEN = st.one_of(
     st.text(min_size=1, max_size=6).filter(
         lambda t: "," not in t and t.strip()
         and not t.strip().isdecimal()))
-BAD_VALUE = {"--r": BAD_R, "--s": BAD_S}
+BAD_VALUE = {"--r": BAD_R, "--s": BAD_S, "--k": NOT_AN_INT,
+             "--max-part": NOT_AN_INT, "--max-len": NOT_AN_INT,
+             "--max-nodes": NOT_AN_INT, "--wall-t": NOT_AN_INT}
 PARTS_FLAGS = ("--mu", "--nu", "--caps")
 TARGETS = [(sub, flag) for sub, flags in VALID_FLAGS.items()
            for flag in flags if flag in BAD_VALUE or flag in PARTS_FLAGS]
@@ -349,3 +353,19 @@ class TestProcessLevel:
              "--k", "1", "--r", "1", "--s", "2", "--connected"],
             capture_output=True, text=True)
         assert proc.returncode == 0 and "= 9/1" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutjoin-verify", "--nu", "2", "--k", "0", "--format", "csv"],
+    ["oracle-verify", "--max-size", "1", "--format", "csv"],
+    ["tree-dump", "--mu", "3", "--nu", "1", "--k", "1", "--s", "2",
+     "--format", "plain"],
+    ["selftest", "--criteria", "1", "--format", "plain"],
+    ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2", "--s", "2",
+     "--cache", "cache.jsonl"],
+    ["oracle-verify", "--max-size", "1", "--cache", "cache.jsonl"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and argv[-2] in err

@@ -1,4 +1,7 @@
-"""Engine tests: connected correlators from the commutation recursion."""
+"""Engine tests: connected and full correlators from the commutation
+recursion."""
+import math
+
 import pytest
 
 from leakyhurwitz.fock import (
@@ -11,8 +14,22 @@ from leakyhurwitz.fock import (
     hurwitz_sequence,
     insertion_op,
 )
+from leakyhurwitz.numbers import disconnected_hurwitz, partitions_of
 from leakyhurwitz.oracle import oracle_disconnected
 from leakyhurwitz.series import Q
+
+
+def balanced_queries(max_size, max_s, max_k, rs):
+    """Every balanced (mu, nu, k, r, s) with |mu| <= max_size."""
+    for size in range(max_size + 1):
+        for s in range(max_s + 1):
+            for k in range(-max_k, max_k + 1):
+                if size - s * k < 0:
+                    continue
+                for r in rs:
+                    for mu in partitions_of(size):
+                        for nu in partitions_of(size - s * k):
+                            yield mu, nu, k, r, s
 
 
 class TestOperatorLabels:
@@ -143,11 +160,30 @@ class TestDisconnectedSeries:
         assert conn.coefficient(()) == 0
 
     def test_matches_oracle_route(self):
-        mu, nu, k, r, s = (2, 1), (1, 1, 1), 0, 1, 1
-        ops = hurwitz_sequence(mu, nu, k, s)
-        series = disconnected_vev_series(ops, (r + 1,) * s)
-        got = series.coefficient((r + 1,)) / Q(2 * 1 * 1 * 1 * 1)
-        assert got == oracle_disconnected(mu, nu, k, r, s)
+        # one test over the whole grid, so a failure lists every mismatch
+        checked, mismatches = 0, []
+        for mu, nu, k, r, s in balanced_queries(4, 2, 2, (1, 2)):
+            series = disconnected_vev_series(hurwitz_sequence(mu, nu, k, s),
+                                             (r + 1,) * s)
+            got = series.coefficient((r + 1,) * s) / math.prod(mu + nu)
+            want = (oracle_disconnected(mu, nu, k, r, s),
+                    disconnected_hurwitz(mu, nu, k, r, s))
+            checked += 1
+            if (got, got) != want:
+                mismatches.append((mu, nu, k, r, s, got, want))
+        assert checked == 1538
+        assert not mismatches, mismatches[:5]
+
+    def test_insertions_on_a_subset_of_the_caps(self):
+        # as in a wall-crossing factor: two insertions in z1 and z3 of
+        # three variables; nothing may depend on the unused z2
+        ops = [alpha_op(3), alpha_op(1), insertion_op(-1, 0),
+               insertion_op(-1, 2), alpha_op(-1), alpha_op(-1)]
+        series = disconnected_vev_series(ops, (2, 3, 2))
+        assert all(e[1] == 0 for e in series.terms)
+        got = series.coefficient((2, 0, 2)) / 3
+        assert got == oracle_disconnected((3, 1), (1, 1), 1, 1, 2) == 6
+        assert got == disconnected_hurwitz((3, 1), (1, 1), 1, 1, 2)
 
     def test_empty_sequence_is_one(self):
         assert disconnected_vev_series([], ()).coefficient(()) == 1
