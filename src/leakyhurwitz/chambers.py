@@ -256,6 +256,8 @@ def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
     rank, solves it exactly, then demands exact equality on holdout
     fresh points.  A held-out mismatch raises ChamberFitError.
     """
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
     if s < 1:
         raise ValueError("chamber fits need at least one insertion")
     base = lattice_point(base.mu, base.nu, base.k)
@@ -346,6 +348,8 @@ def wall_crossing_series(w, point, r, s):
     polynomials across wall w, evaluated at point.  The point must be
     strictly off the wall; delta = 0 is rejected.
     """
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
     point = lattice_point(point.mu, point.nu, point.k)
     m, n = len(point.mu), len(point.nu)
     if sum(point.mu) != sum(point.nu) + s * point.k:

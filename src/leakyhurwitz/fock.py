@@ -22,6 +22,7 @@ that a truncated power series cannot hold.
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .series import (
@@ -40,11 +41,12 @@ class EOp(NamedTuple):
 
 
 def canonical_partition(parts):
-    """Parts as a descending tuple of ints; nonpositive parts raise."""
-    parts = tuple(sorted((int(p) for p in parts), reverse=True))
-    if any(p <= 0 for p in parts):
+    """Parts as a descending tuple of ints; a nonpositive part raises
+    ValueError and a non-integer part, such as 2.5, TypeError."""
+    parts = sorted(map(operator.index, parts), reverse=True)
+    if parts and parts[-1] <= 0:
         raise ValueError("partition parts must be positive")
-    return parts
+    return tuple(parts)
 
 
 def alpha_op(n):
@@ -62,6 +64,8 @@ def insertion_op(energy, var, corrected=None):
     return EOp(int(energy), frozenset((var,)), corrected)
 
 
+# A dict, not lru_cache: a cached _vev also stores its cheap early exits,
+# a third more entries and 6-7% more peak memory on the benchmark passes.
 _MEMO = {}
 
 

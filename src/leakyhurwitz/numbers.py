@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import os
-import threading
 import time
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from .fock import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def partitions_of(total, max_part=None):
     """Partitions of total with parts <= max_part, as descending tuples
     in descending lexicographic order; partitions_of(0) == ((),)."""
@@ -94,10 +93,6 @@ def genus_of(q):
     return Q(q.r * q.s + 2 - len(q.mu) - len(q.nu), 2)
 
 
-def is_balanced(q):
-    return sum(q.mu) == sum(q.nu) + q.s * q.k
-
-
 class HurwitzResult(NamedTuple):
     value: object
     query: HurwitzQuery
@@ -107,20 +102,9 @@ class HurwitzResult(NamedTuple):
 
 # -- connected numbers with a small memo --------------------------------
 
-_CONN_CACHE = {}
-
-
+@lru_cache(maxsize=8192)
 def connected_cached(mu, nu, k, r, s):
-    key = (mu, nu, k, r, s)
-    hit = _CONN_CACHE.get(key)
-    if hit is None:
-        hit = connected_hurwitz(mu, nu, k, r, s)
-        _CONN_CACHE[key] = hit
-    return hit
-
-
-def clear_number_caches():
-    _CONN_CACHE.clear()
+    return connected_hurwitz(mu, nu, k, r, s)
 
 
 # -- disconnected assembly ----------------------------------------------
@@ -182,41 +166,37 @@ def disconnected_hurwitz(mu, nu, k, r, s):
         raise ValueError("need r >= 1 and s >= 0")
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
-    memo = {}
+    return _assembly(mu, nu, k, r, s)
 
-    def rec(rem_mu, rem_nu, rem_s):
-        if not rem_mu and not rem_nu:
-            return Q(1) if rem_s == 0 else Q(0)
-        key = (rem_mu, rem_nu, rem_s)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # anchor the largest remaining mu part (nu part if mu is spent);
-        # the spent side contributes () as its anchor and pool
-        cut = 0 if rem_mu else 1
-        anchor_mu, pool_mu = rem_mu[:1], rem_mu[1:]
-        anchor_nu, pool_nu = rem_nu[:cut], rem_nu[cut:]
-        total = Q(0)
-        for sub_mu, ways_mu in _submultisets(pool_mu):
-            block_mu = anchor_mu + sub_mu
-            size_mu = sum(block_mu)
-            rest_mu = _remove_submultiset(pool_mu, sub_mu)
-            for sub_nu, ways_nu in _submultisets(pool_nu):
-                block_nu = anchor_nu + sub_nu
-                counts = _balancing_counts(size_mu - sum(block_nu), k, rem_s)
-                if not counts:
+
+@lru_cache(maxsize=8192)
+def _assembly(mu, nu, k, r, s):
+    """disconnected_hurwitz on canonical, balanced input."""
+    if not mu and not nu:
+        return Q(1) if s == 0 else Q(0)
+    # anchor the largest remaining mu part (nu part if mu is spent);
+    # the spent side contributes () as its anchor and pool
+    cut = 0 if mu else 1
+    anchor_mu, pool_mu = mu[:1], mu[1:]
+    anchor_nu, pool_nu = nu[:cut], nu[cut:]
+    total = Q(0)
+    for sub_mu, ways_mu in _submultisets(pool_mu):
+        block_mu = anchor_mu + sub_mu
+        size_mu = sum(block_mu)
+        rest_mu = _remove_submultiset(pool_mu, sub_mu)
+        for sub_nu, ways_nu in _submultisets(pool_nu):
+            block_nu = anchor_nu + sub_nu
+            counts = _balancing_counts(size_mu - sum(block_nu), k, s)
+            if not counts:
+                continue
+            rest_nu = _remove_submultiset(pool_nu, sub_nu)
+            for j in counts:
+                piece = connected_cached(block_mu, block_nu, k, r, j)
+                if piece == 0:
                     continue
-                rest_nu = _remove_submultiset(pool_nu, sub_nu)
-                for j in counts:
-                    piece = connected_cached(block_mu, block_nu, k, r, j)
-                    if piece == 0:
-                        continue
-                    total += (Q(ways_mu * ways_nu * math.comb(rem_s, j))
-                              * piece * rec(rest_mu, rest_nu, rem_s - j))
-        memo[key] = total
-        return total
-
-    return rec(mu, nu, s)
+                total += (Q(ways_mu * ways_nu * math.comb(s, j))
+                          * piece * _assembly(rest_mu, rest_nu, k, r, s - j))
+    return total
 
 
 # -- one-part closed forms ----------------------------------------------
@@ -229,6 +209,8 @@ def one_part_connected_series(d, nu, k, r, s):
     """
     if k <= 0:
         raise ValueError("the closed one-part product needs k > 0")
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
     nu = canonical_partition(nu)
     if not nu:
         raise ValueError("nu must be nonempty")
@@ -319,16 +301,16 @@ class HurwitzCache:
 
     Records are newline-delimited JSON objects with decimal-string
     numerator and denominator.  Lookups also try the swapped query
-    (nu, mu, -k), which has the same value.  Readers take no lock on
-    the in-memory dict beyond the GIL; writers serialize on a lock.
-    A line that does not decode to a full record, such as the tail of
-    an append cut short, is skipped and counted in skipped.
+    (nu, mu, -k), which has the same value.  Loaded partitions are
+    canonicalized like a query's.  A line that does not decode to a
+    full record, such as the tail of an append cut short, or that holds
+    a part that is not a positive integer, is skipped and counted in
+    skipped.
     """
 
     def __init__(self, path=None):
         self._path = path
         self._mem = {}
-        self._lock = threading.Lock()
         self.skipped = 0
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -338,7 +320,8 @@ class HurwitzCache:
                         continue
                     try:
                         rec = json.loads(line)
-                        key = (tuple(rec["mu"]), tuple(rec["nu"]), rec["k"],
+                        key = (canonical_partition(rec["mu"]),
+                               canonical_partition(rec["nu"]), rec["k"],
                                rec["r"], rec["s"], rec["connected"])
                         value = Q(int(rec["num"]), int(rec["den"]))
                     except (ValueError, KeyError, TypeError,
@@ -362,25 +345,24 @@ class HurwitzCache:
         return hit
 
     def store(self, q, value):
-        with self._lock:
-            self._mem[self._key(q)] = value
-            if self._path:
-                num = value.numerator
-                den = value.denominator
-                rec = {
-                    "mu": list(q.mu), "nu": list(q.nu), "k": q.k,
-                    "r": q.r, "s": q.s, "connected": q.connected,
-                    "num": str(num), "den": str(den),
-                }
-                line = (json.dumps(rec, sort_keys=True) + "\n").encode()
-                with open(self._path, "a+b") as fh:
-                    # a file cut mid-record gets its own line ended first,
-                    # so this record is not glued onto the fragment
-                    if fh.tell():
-                        fh.seek(-1, os.SEEK_END)
-                        if fh.read(1) != b"\n":
-                            line = b"\n" + line
-                    fh.write(line)
+        self._mem[self._key(q)] = value
+        if self._path:
+            num = value.numerator
+            den = value.denominator
+            rec = {
+                "mu": list(q.mu), "nu": list(q.nu), "k": q.k,
+                "r": q.r, "s": q.s, "connected": q.connected,
+                "num": str(num), "den": str(den),
+            }
+            line = (json.dumps(rec, sort_keys=True) + "\n").encode()
+            with open(self._path, "a+b") as fh:
+                # a file cut mid-record gets its own line ended first,
+                # so this record is not glued onto the fragment
+                if fh.tell():
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = b"\n" + line
+                fh.write(line)
 
     def __len__(self):
         return len(self._mem)

@@ -14,6 +14,7 @@ plain dicts mapping states to exact rationals.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .series import Q, QZERO
@@ -159,43 +160,26 @@ def default_window(mu, nu, k, r, s):
     return max(sum(mu), sum(nu), 1) + s * (abs(k) + r + 2) + 2
 
 
-_KET_CACHE = {}
-_BRA_CACHE = {}
-_KET_CACHE_LIMIT = 8
-_BRA_CACHE_LIMIT = 64
+@lru_cache(maxsize=64)
+def _alpha_built_state(parts):
+    """Product of alpha_{-p} over parts, applied to the vacuum (cached).
+
+    No fermion moves further than sum(parts) - 1/2 from zero, so a
+    window of sum(parts) always holds the state.
+    """
+    comb = {VACUUM: Q(1)}
+    for p in parts:
+        comb = apply_alpha(comb, -p, sum(parts))
+    return comb
 
 
-def _bounded_put(cache, key, value, limit):
-    """Insert with first-in-first-out eviction; dicts keep insert order."""
-    while len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
-def _alpha_built_state(parts, window):
-    """Product of alpha_{-p} over parts, applied to the vacuum (cached)."""
-    key = (parts, window)
-    hit = _BRA_CACHE.get(key)
-    if hit is None:
-        comb = {VACUUM: Q(1)}
-        for p in parts:
-            comb = apply_alpha(comb, -p, window)
-        _bounded_put(_BRA_CACHE, key, comb, _BRA_CACHE_LIMIT)
-        hit = comb
-    return hit
-
-
+@lru_cache(maxsize=8)
 def _ket_state(nu, k, r, s, window):
     """Insertions^s alpha_{-nu} |vacuum>, cached per (nu, k, r, s)."""
-    key = (nu, k, r, s, window)
-    hit = _KET_CACHE.get(key)
-    if hit is None:
-        comb = _alpha_built_state(nu, window)
-        for _ in range(s):
-            comb = apply_insertion_coeff(comb, k, r + 1, window)
-        _bounded_put(_KET_CACHE, key, comb, _KET_CACHE_LIMIT)
-        hit = comb
-    return hit
+    comb = _alpha_built_state(nu)
+    for _ in range(s):
+        comb = apply_insertion_coeff(comb, k, r + 1, window)
+    return comb
 
 
 def oracle_disconnected(mu, nu, k, r, s, literal=False):
@@ -227,7 +211,7 @@ def oracle_disconnected(mu, nu, k, r, s, literal=False):
         for p in mu:
             comb = apply_alpha(comb, p, window)
         return comb.get(VACUUM, QZERO) / denom
-    bra = _alpha_built_state(mu, window)
+    bra = _alpha_built_state(mu)
     small, big = (bra, ket) if len(bra) <= len(ket) else (ket, bra)
     val = QZERO
     for state, amp in small.items():

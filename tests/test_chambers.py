@@ -141,6 +141,15 @@ class TestChamberFit:
         with pytest.raises(ValueError, match="insertion"):
             fit_chamber_polynomial(lattice_point((3,), (3,), 0), 1, 0)
 
+    @pytest.mark.parametrize("r,s", [(0, 2), (-1, 2), (1, -1)])
+    @pytest.mark.parametrize("fn,args", [
+        (fit_chamber_polynomial, (C_PLUS,)),
+        (wall_crossing_series, (W_FIRST, lattice_point((9, 3), (5, 5), 1))),
+    ])
+    def test_bad_r_or_s_rejected(self, fn, args, r, s):
+        with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
+            fn(*args, r, s)
+
     def test_sampler_gives_up_on_impossible_signs(self):
         impossible = (1,) * len(all_walls(2, 2, 2))
         gen = _in_chamber_samples(C_PLUS, 2, impossible,

@@ -1,5 +1,6 @@
 """Number-level API tests: disconnected assembly, one-part forms,
 torus-corrected numbers, cache, and query plumbing."""
+import json
 import random
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from leakyhurwitz.fock import connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
+    _assembly,
     aut_factor,
     canonical_partition,
     cmr_leaky_r1,
+    connected_cached,
     disconnected_hurwitz,
     evaluate,
     genus_of,
@@ -41,6 +44,8 @@ class TestPlumbing:
         assert canonical_partition([1, 3, 2]) == (3, 2, 1)
         with pytest.raises(ValueError):
             canonical_partition([2, 0])
+        with pytest.raises(TypeError):
+            canonical_partition([5.7, 2])
 
     def test_aut_factor(self):
         assert aut_factor(()) == 1
@@ -93,6 +98,18 @@ class TestDisconnected:
                     == oracle_disconnected(mu, nu, k, r, s)), (mu, nu, k, r, s)
             checked += 1
 
+    def test_shared_memo_does_not_depend_on_query_order(self):
+        # the |mu| <= 3 sweep box, in which a memo key missing r would
+        # serve one query's sub-assemblies to another
+        box = [(mu, nu, k, r, s) for a in range(4) for s in range(4)
+               for k in range(-3, 4) if a - s * k >= 0 for r in (1, 2)
+               for nu in partitions_of(a - s * k) for mu in partitions_of(a)]
+        forward = [disconnected_hurwitz(*q) for q in box]
+        _assembly.cache_clear()
+        connected_cached.cache_clear()
+        backward = [disconnected_hurwitz(*q) for q in reversed(box)]
+        assert forward == backward[::-1]
+
     def test_chamber_interior_equals_connected(self):
         # one-part mu with k>0: every proper block is unbalanced
         for (mu, nu, k, r, s) in [((5,), (1, 1, 1), 1, 1, 2),
@@ -112,6 +129,11 @@ class TestOnePart:
         assert one_part_connected_series(5, (1, 1, 1), 1, 1, 2) == 9
         assert one_part_connected_series(4, (2, 1), 1, 1, 1) == 1
         assert one_part_connected_series(7, (1, 1, 1, 1), 1, 1, 3) == 234
+
+    @pytest.mark.parametrize("r,s", [(1, -1), (0, 1), (-2, 0)])
+    def test_bad_r_or_s_rejected(self, r, s):
+        with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
+            one_part_connected_series(2 - s, (3,), 1, r, s)
 
     def test_imbalance_and_guards(self):
         assert one_part_connected_series(5, (1, 1), 1, 1, 1) == 0
@@ -318,6 +340,24 @@ class TestCache:
         assert reloaded.skipped == 1
         assert [reloaded.lookup(q) for q in queries] == values
         assert path.read_bytes().count(b"\n") == 4
+
+    def test_loaded_keys_are_canonical(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(
+            {"mu": [2, 5], "nu": [3, 4], "k": 0, "r": 1, "s": 1,
+             "connected": True, "num": "7", "den": "2"}) + "\n")
+        cache = HurwitzCache(str(path))
+        assert cache.lookup(make_query((5, 2), (4, 3), 0, 1, 1)) == Q(7, 2)
+
+    @pytest.mark.parametrize("mu", [[3, 0], [5.7]])
+    def test_record_with_a_bad_part_is_skipped(self, tmp_path, mu):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(
+            {"mu": mu, "nu": [3], "k": 0, "r": 1, "s": 1,
+             "connected": True, "num": "1", "den": "1"}) + "\n")
+        cache = HurwitzCache(str(path))
+        assert cache.skipped == 1
+        assert len(cache) == 0
 
     def test_duality_lookup(self):
         cache = HurwitzCache()

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from leakyhurwitz.numbers import partitions_of
 from leakyhurwitz.oracle import (
     VACUUM,
     OracleWindowError,
+    _alpha_built_state,
     apply_E,
     apply_alpha,
     apply_insertion_coeff,
@@ -75,6 +77,16 @@ class TestAlpha:
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             apply_alpha({VACUUM: Q(1)}, 0, 10)
+
+    def test_alpha_built_states_fit_a_window_of_their_size(self):
+        # the cache keys on the parts alone and builds with window |p|
+        _alpha_built_state.cache_clear()
+        for total in range(11):
+            for p in partitions_of(total):
+                wide = {VACUUM: Q(1)}
+                for part in p:
+                    wide = apply_alpha(wide, -part, 2 * total + 4)
+                assert _alpha_built_state(p) == wide, p
 
     def test_window_overflow_raises(self):
         with pytest.raises(OracleWindowError):
