@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from .series import Q, TruncSeries, sigma_over_sigma
 from .fock import (
     alpha_op,
     canonical_partition,
+    check_query,
     connected_hurwitz,
     disconnected_vev_series,
     insertion_op,
@@ -47,7 +50,7 @@ class LatticePoint(NamedTuple):
 
 def lattice_point(mu, nu, k):
     return LatticePoint(canonical_partition(mu), canonical_partition(nu),
-                        int(k))
+                        operator.index(k))
 
 
 class Wall(NamedTuple):
@@ -64,8 +67,8 @@ class Wall(NamedTuple):
 
 
 def wall(I, J, t):
-    return Wall(frozenset(int(i) for i in I), frozenset(int(j) for j in J),
-                int(t))
+    return Wall(frozenset(map(operator.index, I)),
+                frozenset(map(operator.index, J)), operator.index(t))
 
 
 def complement_wall(w, m, n, s):
@@ -86,6 +89,7 @@ def _subsets(n):
         yield from (frozenset(c) for c in itertools.combinations(items, size))
 
 
+@lru_cache(maxsize=64)
 def all_walls(m, n, s):
     """Every wall of the arrangement for m mu-parts, n nu-parts, s slots.
 
@@ -256,11 +260,10 @@ def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
     rank, solves it exactly, then demands exact equality on holdout
     fresh points.  A held-out mismatch raises ChamberFitError.
     """
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
+    mu, nu, k, r, s = check_query(*base, r, s)
+    base = LatticePoint(mu, nu, k)
     if s < 1:
         raise ValueError("chamber fits need at least one insertion")
-    base = lattice_point(base.mu, base.nu, base.k)
     if sum(base.mu) != sum(base.nu) + s * base.k:
         raise ValueError("base point violates the energy balance")
     m, n = len(base.mu), len(base.nu)
@@ -348,9 +351,8 @@ def wall_crossing_series(w, point, r, s):
     polynomials across wall w, evaluated at point.  The point must be
     strictly off the wall; delta = 0 is rejected.
     """
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
-    point = lattice_point(point.mu, point.nu, point.k)
+    mu, nu, k, r, s = check_query(*point, r, s)
+    point = LatticePoint(mu, nu, k)
     m, n = len(point.mu), len(point.nu)
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point violates the energy balance")
@@ -363,7 +365,6 @@ def wall_crossing_series(w, point, r, s):
     if delta < 0:
         return -wall_crossing_series(complement_wall(w, m, n, s), point, r, s)
 
-    k = point.k
     mu_I = [point.mu[i] for i in sorted(w.I)]
     nu_J = [point.nu[j] for j in sorted(w.J)]
     mu_Ic = [point.mu[i] for i in range(m) if i not in w.I]

@@ -19,11 +19,11 @@ from .series import (
     sigma_series,
     unit_s_series,
 )
+from .fock import canonical_partition, check_query
 from .numbers import (
     _remove_submultiset,
     _submultisets,
     aut_factor,
-    canonical_partition,
     disconnected_hurwitz,
     partitions_of,
 )
@@ -53,8 +53,7 @@ def _bracket(A, B, r):
 
 def q_weight(A, B, k, r):
     """Transition weight between profiles, normalized by both Aut orders."""
-    A = canonical_partition(A)
-    B = canonical_partition(B)
+    A, B, k, r, _ = check_query(A, B, k, r, 0)
     if sum(A) != sum(B) + k:
         raise ValueError("weight needs sum(A) = sum(B) + k")
     return _bracket(A, B, r) / (aut_factor(A) * aut_factor(B))

@@ -22,6 +22,7 @@ that a truncated power series cannot hold.
 """
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
@@ -49,10 +50,21 @@ def canonical_partition(parts):
     return tuple(parts)
 
 
+def check_query(mu, nu, k, r, s):
+    """The engine's one input check.  Returns (mu, nu, k, r, s) with both
+    partitions canonical; a non-integer k, r or s raises TypeError, and
+    an r below 1 or a negative s ValueError."""
+    mu, nu = canonical_partition(mu), canonical_partition(nu)
+    k, r, s = operator.index(k), operator.index(r), operator.index(s)
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
+    return mu, nu, k, r, s
+
+
 def alpha_op(n):
     if n == 0:
         raise ValueError("alpha_0 is central; it does not belong in sequences")
-    return EOp(int(n), frozenset(), False)
+    return EOp(operator.index(n), frozenset(), False)
 
 
 def insertion_op(energy, var, corrected=None):
@@ -61,7 +73,7 @@ def insertion_op(energy, var, corrected=None):
         corrected = energy == 0
     if energy == 0 and not corrected:
         raise ValueError("uncorrected zero-energy insertion is not a power series")
-    return EOp(int(energy), frozenset((var,)), corrected)
+    return EOp(operator.index(energy), frozenset((var,)), corrected)
 
 
 # A dict, not lru_cache: a cached _vev also stores its cheap early exits,
@@ -184,10 +196,7 @@ def connected_hurwitz(mu, nu, k, r, s, caps=None):
     truncation degree of each z_i (default r+1); the value is the same
     for any caps of length s with every cap at least r+1.
     """
-    mu = canonical_partition(mu)
-    nu = canonical_partition(nu)
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
+    mu, nu, k, r, s = check_query(mu, nu, k, r, s)
     caps = (r + 1,) * s if caps is None else tuple(caps)
     if len(caps) != s or any(c < r + 1 for c in caps):
         raise ValueError("need one cap >= r+1 per insertion")
@@ -203,11 +212,7 @@ def connected_hurwitz(mu, nu, k, r, s, caps=None):
     if not ops:
         return Q(0)
     series = connected_vev_series(ops, caps)
-    val = series.coefficient((r + 1,) * s)
-    denom = Q(1)
-    for p in mu + nu:
-        denom *= p
-    return val / denom
+    return series.coefficient((r + 1,) * s) / math.prod(mu + nu)
 
 
 def _render_op(op):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .series import (
     zvars_form,
 )
 from .fock import (
-    canonical_partition,
+    check_query,
     connected_hurwitz,
     disconnected_vev_series,
     hurwitz_sequence,
@@ -76,13 +77,7 @@ class HurwitzQuery(NamedTuple):
 
 
 def make_query(mu, nu, k, r, s, connected=True):
-    mu = canonical_partition(mu)
-    nu = canonical_partition(nu)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if s < 0:
-        raise ValueError("need s >= 0")
-    return HurwitzQuery(mu, nu, int(k), int(r), int(s), bool(connected))
+    return HurwitzQuery(*check_query(mu, nu, k, r, s), bool(connected))
 
 
 def genus_of(q):
@@ -160,10 +155,7 @@ def disconnected_hurwitz(mu, nu, k, r, s):
     Blocks holding neither a mu- nor a nu-part vanish and are skipped;
     the fully empty input at s=0 counts the empty cover once.
     """
-    mu = canonical_partition(mu)
-    nu = canonical_partition(nu)
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
+    mu, nu, k, r, s = check_query(mu, nu, k, r, s)
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
     return _assembly(mu, nu, k, r, s)
@@ -207,16 +199,11 @@ def one_part_connected_series(d, nu, k, r, s):
     Valid for k > 0.  The central 1/sigma(z_[s]) is folded into the
     first nu factor as an exact ratio of unit series.
     """
+    (d,), nu, k, r, s = check_query((d,), nu, k, r, s)
     if k <= 0:
         raise ValueError("the closed one-part product needs k > 0")
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
-    nu = canonical_partition(nu)
     if not nu:
         raise ValueError("nu must be nonempty")
-    d = int(d)
-    if d <= 0:
-        raise ValueError("d must be positive")
     if d != sum(nu) + s * k:
         return Q(0)
     if s == 0:
@@ -233,10 +220,7 @@ def one_part_connected_series(d, nu, k, r, s):
             form[q_] = k
         form[p - 1] = d - (p - 1) * k
         total = total * sigma_series(tuple(form), caps)
-    denom = Q(d)
-    for part in nu:
-        denom *= part
-    return total.coefficient((r + 1,) * s) / denom
+    return total.coefficient((r + 1,) * s) / (d * math.prod(nu))
 
 
 def one_part_closed_genus0(d, m, k):
@@ -248,10 +232,14 @@ def one_part_closed_genus0(d, m, k):
     The dual h(nu, (d), -k) has the same value.  k <= 0 raises
     ValueError: there the point can lie in another chamber, and for
     (1)/(5,1,1), k=-3 the engine gives 7 where the form would give 5.
+    d < 1 or m < 2 raises ValueError, and a non-integer d, m or k
+    TypeError.
     """
-    if k <= 0:
+    if operator.index(k) <= 0:
         raise ValueError("the closed genus-zero form needs k > 0")
-    if m < 2:
+    if operator.index(d) < 1:
+        raise ValueError("need d >= 1")
+    if operator.index(m) < 2:
         raise ValueError("need at least two nu parts")
     value = Q(math.factorial(m - 1), 2 ** (m - 2))
     for p in range(1, m - 1):
@@ -271,10 +259,7 @@ def cmr_leaky_r1(mu, nu, k, s, aut=False):
     extracted separately rather than collapsed binomially.  With
     aut=True the result also divides by |Aut mu| |Aut nu|.
     """
-    mu = canonical_partition(mu)
-    nu = canonical_partition(nu)
-    if s < 0:
-        raise ValueError("need s >= 0")
+    mu, nu, k, _, s = check_query(mu, nu, k, 1, s)
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
     series = disconnected_vev_series(hurwitz_sequence(mu, nu, k, s),
@@ -286,9 +271,7 @@ def cmr_leaky_r1(mu, nu, k, s, aut=False):
         if zeros and c_k == 0:
             continue
         total += (-c_k) ** zeros * series.coefficient(pattern)
-    denom = Q(1)
-    for p in mu + nu:
-        denom *= p
+    denom = math.prod(mu + nu)
     if aut:
         denom *= aut_factor(mu) * aut_factor(nu)
     return total / denom
@@ -301,11 +284,11 @@ class HurwitzCache:
 
     Records are newline-delimited JSON objects with decimal-string
     numerator and denominator.  Lookups also try the swapped query
-    (nu, mu, -k), which has the same value.  Loaded partitions are
-    canonicalized like a query's.  A line that does not decode to a
-    full record, such as the tail of an append cut short, or that holds
-    a part that is not a positive integer, is skipped and counted in
-    skipped.
+    (nu, mu, -k), which has the same value.  Loaded keys pass the same
+    check_query as a query's.  A line that does not decode to a full
+    record, such as the tail of an append cut short, or that fails that
+    check, such as a part that is not a positive integer or r = 0, is
+    skipped and counted in skipped.
     """
 
     def __init__(self, path=None):
@@ -320,9 +303,9 @@ class HurwitzCache:
                         continue
                     try:
                         rec = json.loads(line)
-                        key = (canonical_partition(rec["mu"]),
-                               canonical_partition(rec["nu"]), rec["k"],
-                               rec["r"], rec["s"], rec["connected"])
+                        key = (*check_query(rec["mu"], rec["nu"], rec["k"],
+                                            rec["r"], rec["s"]),
+                               rec["connected"])
                         value = Q(int(rec["num"]), int(rec["den"]))
                     except (ValueError, KeyError, TypeError,
                             ZeroDivisionError):

@@ -39,6 +39,11 @@ class TestQWeight:
         with pytest.raises(ValueError):
             q_weight((), (), 0, 1)
 
+    @pytest.mark.parametrize("r,k", [(0, 1), (-1, 1)])
+    def test_bad_r_rejected(self, r, k):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            q_weight((2,), (1,), k, r)
+
 
 class TestPartitionsOf:
     def test_counts(self):

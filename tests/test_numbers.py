@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from leakyhurwitz.fock import connected_hurwitz
+from leakyhurwitz.chambers import lattice_point, wall
+from leakyhurwitz.fock import canonical_partition, connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
     _assembly,
     aut_factor,
-    canonical_partition,
     cmr_leaky_r1,
     connected_cached,
     disconnected_hurwitz,
@@ -62,6 +62,21 @@ class TestPlumbing:
             make_query((1,), (1,), 0, 0, 1)
         with pytest.raises(ValueError):
             make_query((1,), (1,), 0, 1, -2)
+
+    @pytest.mark.parametrize("fn,args", [
+        (make_query, ((5,), (1, 1, 1), 1, 1.5, 2)),
+        (connected_hurwitz, ((5,), (1, 1, 1), 1, 1.5, 2)),
+        (disconnected_hurwitz, ((5,), (1, 1, 1), 1, 1.5, 2)),
+        (disconnected_hurwitz, ((5,), (2,), 1.5, 1, 2)),
+        (one_part_connected_series, (5.5, (1, 1, 1), 1, 1, 2)),
+        (cmr_leaky_r1, ((5,), (1, 1, 1), 1, 2.0)),
+        (lattice_point, ((9, 3), (6, 2), 2.7)),
+        (wall, ((0,), (0,), 1.5)),
+    ])
+    def test_non_integer_inputs_rejected(self, fn, args):
+        # a float is never truncated to the integer query next to it
+        with pytest.raises(TypeError):
+            fn(*args)
 
 
 class TestDisconnected:
@@ -174,6 +189,15 @@ class TestOnePart:
             one_part_closed_genus0(1, 3, -3)
         with pytest.raises(ValueError):
             one_part_closed_genus0(5, 3, 0)
+        for d in (-3, 0):
+            with pytest.raises(ValueError):
+                one_part_closed_genus0(d, 4, 1)
+        with pytest.raises(TypeError):
+            one_part_closed_genus0(5.5, 3, 1)
+        with pytest.raises(TypeError):
+            one_part_closed_genus0(5, 3.0, 1)
+        with pytest.raises(TypeError):
+            one_part_closed_genus0(5, 3, 1.5)
 
     def test_closed_equals_series_for_every_shape(self):
         for d in (5, 7, 9):
@@ -349,12 +373,19 @@ class TestCache:
         cache = HurwitzCache(str(path))
         assert cache.lookup(make_query((5, 2), (4, 3), 0, 1, 1)) == Q(7, 2)
 
-    @pytest.mark.parametrize("mu", [[3, 0], [5.7]])
-    def test_record_with_a_bad_part_is_skipped(self, tmp_path, mu):
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"mu": [3, 0]}, id="mu0"),
+        pytest.param({"mu": [5.7]}, id="mu1"),
+        pytest.param({"r": 0}, id="r0"),
+        pytest.param({"r": 1.5}, id="r1.5"),
+        pytest.param({"s": -1}, id="s-1"),
+        pytest.param({"k": 1.5}, id="k1.5"),
+    ])
+    def test_record_with_a_bad_part_is_skipped(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps(
-            {"mu": mu, "nu": [3], "k": 0, "r": 1, "s": 1,
-             "connected": True, "num": "1", "den": "1"}) + "\n")
+        rec = {"mu": [3], "nu": [3], "k": 0, "r": 1, "s": 1,
+               "connected": True, "num": "1", "den": "1"}
+        path.write_text(json.dumps({**rec, **bad}) + "\n")
         cache = HurwitzCache(str(path))
         assert cache.skipped == 1
         assert len(cache) == 0
