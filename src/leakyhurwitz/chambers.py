@@ -191,46 +191,34 @@ def _eval_monomial(exps, coords):
     return v
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over exact rationals; rows is square."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ChamberSampleError("sample matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Q(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+# fresh draws in a row after which the sampler gives up
+GIVE_UP = 4000
+# held-out points checked after the fit
+HOLDOUT = 5
 
 
-def _in_chamber_samples(base, s, signs, rng, want, exclude):
-    """Yield distinct in-chamber lattice points near base.
+def _in_chamber_samples(base, s, signs, rng):
+    """Yield distinct in-chamber lattice points near base, without end.
 
     Samples perturb integer scalings of the base.  Scaling multiplies
     every wall delta by the scale while a radius-rho perturbation of
     the parts moves any delta by at most 2*rho*(m+n) (the slope bound
     of sum(mu_I) - sum(nu_J) - t*k with k recomputed from the balance),
     so choosing scale > 2*radius*(m+n) keeps the whole perturbation box
-    strictly inside the chamber.  Points in exclude are not re-yielded.
+    strictly inside the chamber.  GIVE_UP draws in a row that yield no
+    new point raise ChamberSampleError.
     """
     m, n = len(base.mu), len(base.nu)
-    seen = set(exclude)
-    produced = 0
-    attempts = 0
-    max_attempts = 4000 * max(want, 1)
+    seen = set()
+    attempts = misses = 0
     margin = 2 * (m + n)
-    while produced < want:
-        if attempts >= max_attempts:
+    while True:
+        if misses >= GIVE_UP:
             raise ChamberSampleError(
-                f"gave up after {attempts} attempts "
-                f"({produced}/{want} samples found)")
+                f"gave up after {misses} draws in a row without a new "
+                f"point ({len(seen)} found)")
         attempts += 1
+        misses += 1
         step = 1 + attempts // 400
         radius = 1 + step
         scale = margin * (2 + step)
@@ -248,17 +236,20 @@ def _in_chamber_samples(base, s, signs, rng, want, exclude):
         if sign_vector(cand, s) != signs:
             continue
         seen.add(cand)
-        produced += 1
+        misses = 0
         yield cand
 
 
-def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
+def fit_chamber_polynomial(base, r, s, rng=None):
     """Fit the chamber polynomial through exact interpolation.
 
-    Samples in-chamber lattice points with the same sign vector as
-    base until the monomial system (degrees D, D-2, ... only) has full
-    rank, solves it exactly, then demands exact equality on holdout
-    fresh points.  A held-out mismatch raises ChamberFitError.
+    Draws in-chamber lattice points with the same sign vector as base
+    from one stream, reducing each monomial row (degrees D, D-2, ...
+    only) against the rows kept so far; a row that stays nonzero is
+    kept, with its engine value reduced alongside.  At full rank
+    back-substitution gives the unique interpolant, and the next
+    HOLDOUT points of the stream must match it exactly.  A held-out
+    mismatch raises ChamberFitError.
     """
     mu, nu, k, r, s = check_query(*base, r, s)
     base = LatticePoint(mu, nu, k)
@@ -277,44 +268,32 @@ def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
     monomials = _parity_monomials(m + n, degree)
     nmono = len(monomials)
 
-    rows, rhs, points = [], [], []
-    reduced = []  # row-echelon copies for the rank test
-
-    def rank_accepts(row):
-        work = list(row)
-        for red in reduced:
-            piv = next(i for i, x in enumerate(red) if x != 0)
-            if work[piv] != 0:
-                f = work[piv] / red[piv]
-                work = [x - f * y for x, y in zip(work, red)]
-        if any(x != 0 for x in work):
-            reduced.append(work)
-            return True
-        return False
-
-    sampler = _in_chamber_samples(base, s, signs, rng,
-                                  want=40 * nmono + holdout + 20,
-                                  exclude=[])
-    for cand in sampler:
-        coords = cand.mu + cand.nu
-        row = [_eval_monomial(e, coords) for e in monomials]
-        if not rank_accepts(row):
+    # (pivot, row, value): each row is zero on the pivots of earlier ones
+    reduced = []
+    samples = _in_chamber_samples(base, s, signs, rng)
+    for cand in samples:
+        row = [_eval_monomial(e, cand.mu + cand.nu) for e in monomials]
+        shift = Q(0)
+        for piv, red, val in reduced:
+            if row[piv] != 0:
+                f = row[piv] / red[piv]
+                row = [x - f * y for x, y in zip(row, red)]
+                shift += f * val
+        piv = next((i for i, x in enumerate(row) if x != 0), None)
+        if piv is None:
             continue
-        rows.append(row)
-        rhs.append(connected_hurwitz(cand.mu, cand.nu, cand.k, r, s))
-        points.append(cand)
-        if len(rows) == nmono:
+        value = connected_hurwitz(cand.mu, cand.nu, cand.k, r, s)
+        reduced.append((piv, row, value - shift))
+        if len(reduced) == nmono:
             break
-    if len(rows) < nmono:
-        raise ChamberSampleError(
-            f"only {len(rows)} of {nmono} independent samples found")
 
-    sol = _solve_exact(rows, rhs)
+    sol = [Q(0)] * nmono
+    for piv, red, val in reversed(reduced):
+        sol[piv] = (val - sum(map(operator.mul, red, sol))) / red[piv]
     coeffs = {e: c for e, c in zip(monomials, sol) if c != 0}
     poly = ChamberPoly(m, n, r, s, degree, coeffs, base, signs)
 
-    for cand in _in_chamber_samples(base, s, signs, rng,
-                                    want=holdout, exclude=points):
+    for cand in itertools.islice(samples, HOLDOUT):
         expect = connected_hurwitz(cand.mu, cand.nu, cand.k, r, s)
         got = poly.evaluate(cand.mu, cand.nu)
         if got != expect:
@@ -325,6 +304,20 @@ def fit_chamber_polynomial(base, r, s, rng=None, holdout=5):
 
 
 # -- wall crossing -----------------------------------------------------
+
+def _check_wall(w, m, n):
+    """Reject a wall outside the arrangement of m mu-parts and n nu-parts:
+    an index out of range, or the degenerate (empty, empty) or (full,
+    full) pair that all_walls leaves out."""
+    full_I, full_J = frozenset(range(m)), frozenset(range(n))
+    name = f"wall I={sorted(w.I)} J={sorted(w.J)} t={w.t}"
+    if not (w.I <= full_I and w.J <= full_J):
+        raise ValueError(f"{name} indexes outside {m} mu-parts and "
+                         f"{n} nu-parts")
+    if (not w.I and not w.J) or (w.I == full_I and w.J == full_J):
+        raise ValueError(f"{name} is degenerate: it pairs empty with "
+                         f"empty or full with full")
+
 
 def _h_factor(left_alphas, insertion_vars, right_alphas, k, caps):
     """One H factor of the crossing formula: the disconnected series of a
@@ -356,6 +349,7 @@ def wall_crossing_series(w, point, r, s):
     m, n = len(point.mu), len(point.nu)
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point violates the energy balance")
+    _check_wall(w, m, n)
     if not (w.I and w.J) or w.I >= frozenset(range(m)) \
             or w.J >= frozenset(range(n)):
         raise ValueError("wall needs nonempty proper index sets")
@@ -404,6 +398,7 @@ def wall_crossing_genus0(w, point):
     s = m + n - 2
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point is not genus-zero balanced")
+    _check_wall(w, m, n)
     delta = delta_of(w, point)
     if delta == 0:
         return Q(0)

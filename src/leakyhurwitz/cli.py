@@ -428,12 +428,11 @@ def _add_cache(p):
                    help=f"cache file path (default ${CACHE_ENV})")
 
 
-def _add_query_flags(p, need_point=True):
+def _add_query_flags(p):
     p.add_argument("--mu", default="", help="comma-separated mu parts")
     p.add_argument("--nu", default="", help="comma-separated nu parts")
-    if need_point:
-        p.add_argument("--k", type=int, required=True, help="leak per "
-                       "insertion")
+    p.add_argument("--k", type=int, required=True,
+                   help="leak per insertion")
     p.add_argument("--r", type=int, default=1,
                    help="completed-cycle order r (default 1)")
     p.add_argument("--s", default="auto",

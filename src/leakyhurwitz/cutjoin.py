@@ -11,6 +11,7 @@ coefficient-by-coefficient against directly computed numbers.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .series import (
@@ -21,8 +22,7 @@ from .series import (
 )
 from .fock import canonical_partition, check_query
 from .numbers import (
-    _remove_submultiset,
-    _submultisets,
+    _splits,
     aut_factor,
     disconnected_hurwitz,
     partitions_of,
@@ -72,22 +72,18 @@ def apply_Q(f, k, r):
     for prof, coeff in f.items():
         if coeff == 0:
             continue
-        for B, ways in _submultisets(prof):
+        for B, rest, ways in _splits(prof):
             target = sum(B) + k
             if target < 0:
                 continue
-            rest = _remove_submultiset(prof, B)
             for A in partitions_of(target):
                 if not A and not B:
                     continue
                 br = _bracket(A, B, r)
                 if br == 0:
                     continue
-                denom = aut_factor(A)
-                for a in A:
-                    denom *= a
                 new_prof = tuple(sorted(rest + A, reverse=True))
-                add = coeff * br * Q(ways, denom)
+                add = coeff * br * Q(ways, aut_factor(A) * math.prod(A))
                 prev = out.get(new_prof, Q(0)) + add
                 if prev == 0:
                     out.pop(new_prof, None)

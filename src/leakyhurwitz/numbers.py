@@ -55,16 +55,8 @@ def bounded_profiles(max_part, length):
 
 def aut_factor(parts):
     """Order of the automorphism group: product of multiplicity factorials."""
-    out = 1
-    run = 1
-    parts = tuple(sorted(parts))
-    for i, p in enumerate(parts):
-        if i and p == parts[i - 1]:
-            run += 1
-            out *= run
-        else:
-            run = 1
-    return out
+    return math.prod(math.factorial(len(list(g)))
+                     for _, g in itertools.groupby(sorted(parts)))
 
 
 class HurwitzQuery(NamedTuple):
@@ -104,40 +96,22 @@ def connected_cached(mu, nu, k, r, s):
 
 # -- disconnected assembly ----------------------------------------------
 
-def _count_multiplicities(parts):
-    vals = []
-    counts = []
-    for p in parts:
-        if vals and vals[-1] == p:
-            counts[-1] += 1
-        else:
-            vals.append(p)
-            counts.append(1)
-    return vals, counts
+def _splits(parts):
+    """Every way to split a descending tuple in two, as (taken, rest, ways).
 
-
-def _submultisets(parts):
-    """All submultisets of a descending tuple, with selection counts.
-
-    Yields (subset_tuple, ways) where ways is the number of distinct
-    choices of labeled positions realizing the subset.
+    Both halves stay descending; ways is the number of distinct choices
+    of labeled positions that take exactly taken.  The take counts of
+    the runs of equal parts run through itertools.product: the first
+    split takes nothing, the last takes every part.
     """
-    vals, counts = _count_multiplicities(parts)
-    picks = [range(c + 1) for c in counts]
-    for take in itertools.product(*picks):
-        sub = []
-        ways = 1
-        for v, c, t in zip(vals, counts, take):
-            sub.extend([v] * t)
+    runs = [(p, len(list(g))) for p, g in itertools.groupby(parts)]
+    for take in itertools.product(*(range(c + 1) for _, c in runs)):
+        taken, rest, ways = [], [], 1
+        for (p, c), t in zip(runs, take):
+            taken += [p] * t
+            rest += [p] * (c - t)
             ways *= math.comb(c, t)
-        yield tuple(sub), ways
-
-
-def _remove_submultiset(parts, sub):
-    out = list(parts)
-    for p in sub:
-        out.remove(p)
-    return tuple(out)
+        yield tuple(taken), tuple(rest), ways
 
 
 def _balancing_counts(need, k, s):
@@ -171,18 +145,14 @@ def _assembly(mu, nu, k, r, s):
     cut = 0 if mu else 1
     anchor_mu, pool_mu = mu[:1], mu[1:]
     anchor_nu, pool_nu = nu[:cut], nu[cut:]
+    nu_splits = [(anchor_nu + taken, rest, ways)
+                 for taken, rest, ways in _splits(pool_nu)]
     total = Q(0)
-    for sub_mu, ways_mu in _submultisets(pool_mu):
+    for sub_mu, rest_mu, ways_mu in _splits(pool_mu):
         block_mu = anchor_mu + sub_mu
         size_mu = sum(block_mu)
-        rest_mu = _remove_submultiset(pool_mu, sub_mu)
-        for sub_nu, ways_nu in _submultisets(pool_nu):
-            block_nu = anchor_nu + sub_nu
-            counts = _balancing_counts(size_mu - sum(block_nu), k, s)
-            if not counts:
-                continue
-            rest_nu = _remove_submultiset(pool_nu, sub_nu)
-            for j in counts:
+        for block_nu, rest_nu, ways_nu in nu_splits:
+            for j in _balancing_counts(size_mu - sum(block_nu), k, s):
                 piece = connected_cached(block_mu, block_nu, k, r, j)
                 if piece == 0:
                     continue

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from leakyhurwitz import chambers
 from leakyhurwitz.chambers import (
+    ChamberFitError,
     ChamberSampleError,
+    LatticePoint,
     _h_factor,
     _in_chamber_samples,
     all_walls,
@@ -152,10 +155,24 @@ class TestChamberFit:
 
     def test_sampler_gives_up_on_impossible_signs(self):
         impossible = (1,) * len(all_walls(2, 2, 2))
-        gen = _in_chamber_samples(C_PLUS, 2, impossible,
-                                  random.Random(7), want=1, exclude=[])
+        gen = _in_chamber_samples(C_PLUS, 2, impossible, random.Random(7))
         with pytest.raises(ChamberSampleError):
             next(gen)
+
+    def test_held_out_mismatch_raises(self, monkeypatch):
+        # C_PLUS at r=1, s=2 fits 4 monomials from 4 engine calls; every
+        # later call, a held-out check, reads one too high
+        calls = []
+
+        def off_by_one(mu, nu, k, r, s):
+            calls.append((mu, nu, k))
+            value = connected_hurwitz(mu, nu, k, r, s)
+            return value + 1 if len(calls) > 4 else value
+
+        monkeypatch.setattr(chambers, "connected_hurwitz", off_by_one)
+        with pytest.raises(ChamberFitError, match="held-out point"):
+            fit_chamber_polynomial(C_PLUS, 1, 2)
+        assert len(calls) == 5
 
     def test_report_format(self):
         poly = fit_chamber_polynomial(C_PLUS, 1, 2)
@@ -243,6 +260,26 @@ class TestWallCrossing:
             assert (wall_crossing_series(w, point, 1, s)
                     == wall_crossing_genus0(w, point)), (w, point)
             checked += 1
+
+    @pytest.mark.parametrize("w,point,routes", [
+        # the full/full pair that all_walls leaves out
+        (wall((0,), (0,), 1), LatticePoint((3,), (3,), 2), ("genus0",)),
+        # an index past the parts
+        (wall((5,), (0,), 1), lattice_point((9, 3), (6, 2), 2),
+         ("series",)),
+        (wall((5,), (0,), 1), lattice_point((9, 3), (5, 5), 1),
+         ("genus0",)),
+        # a negative index, which would read mu[-1]
+        (wall((0, -1), (0,), 1), lattice_point((9, 3), (5, 5), 1),
+         ("series", "genus0")),
+    ], ids=["full-full", "past-mu-series", "past-mu-genus0", "negative"])
+    def test_wall_outside_the_arrangement_rejected(self, w, point, routes):
+        for route in routes:
+            with pytest.raises(ValueError, match=r"^wall I="):
+                if route == "series":
+                    wall_crossing_series(w, point, 1, 2)
+                else:
+                    wall_crossing_genus0(w, point)
 
     def test_wall_report_format(self):
         text = format_wall_report(W_FIRST, C_PLUS, Q(2), 1)

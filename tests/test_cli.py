@@ -197,6 +197,37 @@ class TestWallCross:
         assert "--wall-I" in capsys.readouterr().err
 
 
+CHAMBER_GOLDEN_ARGV = [
+    ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2",
+     "--r", "1", "--s", "2"],
+    ["chamber-fit", "--mu", "5", "--nu", "1", "--k", "2",
+     "--r", "2", "--s", "2"],
+    ["chamber-fit", "--mu", "8,3", "--nu", "5", "--k", "2",
+     "--r", "1", "--s", "3"],
+    ["chamber-fit", "--mu", "6", "--nu", "3,2", "--k", "1",
+     "--r", "2", "--s", "1"],
+    ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2",
+     "--r", "2", "--s", "2"],
+    ["wall-cross", "--mu", "9,3", "--nu", "6,2", "--k", "2",
+     "--r", "1", "--s", "2", "--wall-I", "1", "--wall-J", "1",
+     "--wall-t", "1"],
+    ["wall-cross", "--mu", "9,3", "--nu", "5,5", "--k", "1",
+     "--r", "1", "--s", "2", "--wall-I", "1", "--wall-J", "1",
+     "--wall-t", "1"],
+]
+
+
+def test_chamber_golden(capsys):
+    """chamber-fit on criterion 5's bases and wall-cross on the named
+    wall, as JSON, match the pinned output once ms is stripped."""
+    out = []
+    for argv in CHAMBER_GOLDEN_ARGV:
+        assert main([*argv, "--format", "json"]) == 0
+        out.append(strip_ms(capsys.readouterr().out))
+    assert "".join(out) == (GOLDEN / "chamber_fit.json").read_text(
+        encoding="utf-8")
+
+
 class TestVerifiers:
     def test_cutjoin_step_passes(self, capsys):
         code = main(["cutjoin-verify", "--nu", "2,1", "--k", "1",

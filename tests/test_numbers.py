@@ -10,6 +10,7 @@ from leakyhurwitz.fock import canonical_partition, connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
     _assembly,
+    _splits,
     aut_factor,
     cmr_leaky_r1,
     connected_cached,
@@ -51,6 +52,21 @@ class TestPlumbing:
         assert aut_factor(()) == 1
         assert aut_factor((3, 1)) == 1
         assert aut_factor((2, 2, 2, 1, 1)) == 12
+
+    def test_splits_cover_every_labeled_subset(self):
+        for total in range(11):
+            for p in partitions_of(total):
+                splits = list(_splits(p))
+                for taken, rest, ways in splits:
+                    assert list(taken) == sorted(taken, reverse=True)
+                    assert list(rest) == sorted(rest, reverse=True)
+                    assert tuple(sorted(taken + rest, reverse=True)) == p
+                    assert ways >= 1
+                assert sum(ways for _, _, ways in splits) == 2 ** len(p)
+        assert list(_splits((2, 2, 1))) == [
+            ((), (2, 2, 1), 1), ((1,), (2, 2), 1),
+            ((2,), (2, 1), 2), ((2, 1), (2,), 2),
+            ((2, 2), (1,), 1), ((2, 2, 1), (), 1)]
 
     def test_genus(self):
         assert genus_of(make_query((5,), (1, 1, 1), 1, 1, 2)) == 0
