@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.chambers import lattice_point, wall
 from leakyhurwitz.fock import canonical_partition, connected_hurwitz
@@ -128,6 +129,25 @@ class TestDisconnected:
             assert (disconnected_hurwitz(mu, nu, k, r, s)
                     == oracle_disconnected(mu, nu, k, r, s)), (mu, nu, k, r, s)
             checked += 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_routes_duality_and_parity_above_the_oracle_sweep(self, data):
+        # balanced queries just outside criterion 3's box (|mu| <= 8,
+        # s <= 3): |mu| from 9 to 12 at s <= 3, or s = 4, |nu| <= 12
+        s = data.draw(st.integers(0, 4))
+        a = data.draw(st.integers(9 if s < 4 else 0, 12))
+        k = (data.draw(st.integers(max(-3, -((12 - a) // s)), min(3, a // s)))
+             if s else data.draw(st.integers(-3, 3)))
+        r = data.draw(st.integers(1, 2))
+        mu = data.draw(st.sampled_from(list(partitions_of(a))))
+        nu = data.draw(st.sampled_from(list(partitions_of(a - s * k))))
+        value = disconnected_hurwitz(mu, nu, k, r, s)
+        assert oracle_disconnected(mu, nu, k, r, s) == value
+        assert disconnected_hurwitz(nu, mu, -k, r, s) == value
+        assert oracle_disconnected(nu, mu, -k, r, s) == value
+        if (r * s - len(mu) - len(nu)) % 2:
+            assert value == 0
 
     def test_shared_memo_does_not_depend_on_query_order(self):
         # the |mu| <= 3 sweep box, in which a memo key missing r would

@@ -1,19 +1,53 @@
 """Tests for the brute-force fermionic evaluator."""
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.numbers import partitions_of
 from leakyhurwitz.oracle import (
     VACUUM,
     OracleWindowError,
     _alpha_built_state,
+    _ket_state,
     apply_E,
     apply_alpha,
     apply_insertion_coeff,
+    default_window,
     oracle_disconnected,
 )
 from leakyhurwitz.series import Q
+
+
+def basis(particles=(), holes=()):
+    """Bitmask state from doubled slots: particles > 0, holes < 0."""
+    return (sum(1 << (d >> 1) for d in particles),
+            sum(1 << (-d >> 1) for d in holes))
+
+
+def slots(state):
+    """Doubled (particle slots, hole slots) of a bitmask state."""
+    parts, holes = state
+    return ({2 * t + 1 for t in range(parts.bit_length()) if parts >> t & 1},
+            {-2 * t - 1 for t in range(holes.bit_length()) if holes >> t & 1})
+
+
+def brute_E(particles, holes, di, dj):
+    """E_{i,j} on explicit slot sets, counting occupied slots one by one."""
+    def occupied(d):
+        return d in particles if d > 0 else d not in holes
+    if di == dj:
+        if dj > 0:
+            return ((particles, holes), 1) if dj in particles else None
+        return ((particles, holes), -1) if dj in holes else None
+    if not occupied(dj) or occupied(di):
+        return None
+    lo, hi = sorted((di, dj))
+    between = sum(occupied(d) for d in range(lo + 2, hi, 2))
+    particles = (particles - {dj}) | ({di} if di > 0 else set())
+    holes = (holes - {di}) | ({dj} if dj < 0 else set())
+    return (particles, holes), -1 if between % 2 else 1
 
 
 def comb_sub(a, b):
@@ -33,7 +67,7 @@ class TestApplyE:
         assert apply_E(VACUUM, -1, -1) is None
 
     def test_diagonal_signs(self):
-        state = (frozenset({1}), frozenset({-1}))
+        state = basis({1}, {-1})
         assert apply_E(state, 1, 1) == (state, 1)
         assert apply_E(state, -1, -1) == (state, -1)
         assert apply_E(state, 3, 3) is None
@@ -41,29 +75,42 @@ class TestApplyE:
 
     def test_simple_move(self):
         state, sign = apply_E(VACUUM, 1, -1)
-        assert state == (frozenset({1}), frozenset({-1}))
+        assert state == basis({1}, {-1})
         assert sign == 1
 
     def test_move_crossing_one_occupied_slot(self):
         # moving -3/2 up to 3/2 passes the occupied slot -1/2
         state, sign = apply_E(VACUUM, 3, -3)
-        assert state == (frozenset({3}), frozenset({-3}))
+        assert state == basis({3}, {-3})
         assert sign == -1
 
     def test_move_crossing_empty_slot(self):
         # moving -1/2 up to 3/2 passes only the empty slot 1/2
         state, sign = apply_E(VACUUM, 3, -1)
-        assert state == (frozenset({3}), frozenset({-1}))
+        assert state == basis({3}, {-1})
         assert sign == 1
 
     def test_pauli_blocking(self):
-        state = (frozenset({1}), frozenset({-1}))
+        state = basis({1}, {-1})
         assert apply_E(state, 1, 3) is None  # source empty
         assert apply_E(state, 1, -3) is None  # target full
 
     def test_even_slot_rejected(self):
         with pytest.raises(ValueError):
             apply_E(VACUUM, 2, 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9)),
+           st.integers(-10, 9), st.integers(-10, 9))
+    def test_matches_a_count_over_explicit_slots(self, pbits, hbits, i, j):
+        particles = {2 * t + 1 for t in pbits}
+        holes = {-2 * t - 1 for t in hbits}
+        got = apply_E(basis(particles, holes), 2 * i + 1, 2 * j + 1)
+        want = brute_E(particles, holes, 2 * i + 1, 2 * j + 1)
+        if want is None:
+            assert got is None
+        else:
+            assert (slots(got[0]), got[1]) == want
 
 
 class TestAlpha:
@@ -118,20 +165,38 @@ class TestInsertion:
         # [z^j] of the regularized zero-shift operator acts diagonally
         ket = apply_alpha({VACUUM: Q(1)}, -3, 10)
         out = apply_insertion_coeff(ket, 0, 2, 10)
-        for st, v in out.items():
-            p, h = st
+        for state, v in out.items():
+            p, h = slots(state)
             energy = sum(Q(x, 2) for x in p) - sum(Q(x, 2) for x in h)
             en2 = sum(Q(x, 2) ** 2 for x in p) - sum(Q(x, 2) ** 2 for x in h)
             assert energy == 3
-            assert v == ket[st] * en2 / 2
+            assert v == ket[state] * en2 / 2
 
     def test_vacuum_killed_by_diagonal(self):
         assert apply_insertion_coeff({VACUUM: Q(1)}, 0, 2, 10) == {}
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_integer_ket_is_scaled_rational_insertions(self, data):
+        nu = data.draw(st.sampled_from(partitions_of(data.draw(
+            st.integers(0, 6)))))
+        k, r, s = (data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 2)),
+                   data.draw(st.integers(0, 3)))
+        window = default_window((sum(nu) + s * k,), nu, k, r, s)
+        comb = {VACUUM: Q(1)}
+        for p in nu:
+            comb = apply_alpha(comb, -p, window)
+        for _ in range(s):
+            comb = apply_insertion_coeff(comb, k, r + 1, window)
+        den = (2 ** (r + 1) * factorial(r + 1)) ** s
+        assert {state: Q(v, den)
+                for state, v in _ket_state(nu, k, r, s).items()} == comb
+
     def test_moving_insertion_shifts_energy(self):
         ket = apply_alpha({VACUUM: Q(1)}, -2, 12)
         out = apply_insertion_coeff(ket, -1, 2, 12)
-        for (p, h), _ in out.items():
+        for state in out:
+            p, h = slots(state)
             energy = sum(Q(x, 2) for x in p) - sum(Q(x, 2) for x in h)
             assert energy == 3
 
