@@ -114,14 +114,6 @@ def _splits(parts):
         yield tuple(taken), tuple(rest), ways
 
 
-def _balancing_counts(need, k, s):
-    """The insertion counts 0 <= j <= s with need == j * k."""
-    if k == 0:
-        return range(s + 1) if need == 0 else ()
-    j, rem = divmod(need, k)
-    return (j,) if rem == 0 and 0 <= j <= s else ()
-
-
 def disconnected_hurwitz(mu, nu, k, r, s):
     """Disconnected number: sum over splits of the labeled parts into
     blocks, insertions distributed among blocks by counts.
@@ -145,14 +137,18 @@ def _assembly(mu, nu, k, r, s):
     cut = 0 if mu else 1
     anchor_mu, pool_mu = mu[:1], mu[1:]
     anchor_nu, pool_nu = nu[:cut], nu[cut:]
-    nu_splits = [(anchor_nu + taken, rest, ways)
-                 for taken, rest, ways in _splits(pool_nu)]
+    # a block with j insertions balances when |block_nu| = |block_mu| - j*k
+    nu_by_size = {}
+    for taken, rest, ways in _splits(pool_nu):
+        block = anchor_nu + taken
+        nu_by_size.setdefault(sum(block), []).append((block, rest, ways))
     total = Q(0)
     for sub_mu, rest_mu, ways_mu in _splits(pool_mu):
         block_mu = anchor_mu + sub_mu
         size_mu = sum(block_mu)
-        for block_nu, rest_nu, ways_nu in nu_splits:
-            for j in _balancing_counts(size_mu - sum(block_nu), k, s):
+        for j in range(s + 1):
+            fits = nu_by_size.get(size_mu - j * k, ())
+            for block_nu, rest_nu, ways_nu in fits:
                 piece = connected_cached(block_mu, block_nu, k, r, j)
                 if piece == 0:
                     continue

@@ -92,7 +92,8 @@ class TruncSeries:
     multiplication never touches a Fraction.  The terms property shows
     the same data as a Mapping from exponent tuples to Fractions.
     Instances are treated as immutable: no method mutates an existing
-    instance, which keeps concurrent readers safe.
+    instance, which keeps concurrent readers safe and lets a sum or
+    product with a zero operand return an operand itself.
     """
 
     __slots__ = ("caps", "_lay", "_num", "_den")
@@ -192,8 +193,19 @@ class TruncSeries:
 
     # -- arithmetic ---------------------------------------------------
 
+    def relabel(self, order):
+        """Variable i renamed order[i]; each cap moves with its variable."""
+        back = sorted(range(len(order)), key=order.__getitem__)
+        caps = tuple(self.caps[i] for i in back)
+        lay = _layout(caps)
+        terms = ((_unpack(self._lay, e), n) for e, n in self._num.items())
+        num = {_pack(lay, [x[i] for i in back]): n for x, n in terms}
+        return TruncSeries._make(caps, lay, num, self._den)
+
     def __add__(self, other):
         self._check(other)
+        if not (self._num and other._num):
+            return self if other.is_zero() else other
         da, db = self._den, other._den
         den = da if da == db else math.lcm(da, db)
         fa, fb = den // da, den // db
@@ -226,6 +238,8 @@ class TruncSeries:
                 {e: n * p for e, n in self._num.items()},
                 self._den * c.denominator)
         self._check(other)
+        if not (self._num and other._num):
+            return other if other.is_zero() else self
         lay = self._lay
         _, bias, guard = lay
         a, b = self._num, other._num

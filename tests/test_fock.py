@@ -3,8 +3,10 @@ recursion."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz.fock import (
+    EOp,
     alpha_op,
     clear_memo,
     commutation_tree_dot,
@@ -16,7 +18,7 @@ from leakyhurwitz.fock import (
 )
 from leakyhurwitz.numbers import disconnected_hurwitz, partitions_of
 from leakyhurwitz.oracle import oracle_disconnected
-from leakyhurwitz.series import Q
+from leakyhurwitz.series import Q, TruncSeries
 
 
 def balanced_queries(max_size, max_s, max_k, rs):
@@ -187,6 +189,80 @@ class TestDisconnectedSeries:
 
     def test_empty_sequence_is_one(self):
         assert disconnected_vev_series([], ()).coefficient(()) == 1
+
+
+@st.composite
+def labelled_sequences(draw):
+    """A short balanced sequence on some of nvars variables, non-uniform
+    caps, and a permutation of the variables."""
+    nvars = draw(st.integers(1, 3))
+    caps = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars,
+                               max_size=nvars)))
+    # each variable joins one of nvars labels, or none except z_1; a
+    # label of two variables is a merged one, which is corrected
+    owner = [draw(st.integers(0 if v == 0 else -1, nvars - 1))
+             for v in range(nvars)]
+    ops = []
+    for label in range(nvars):
+        zvars = frozenset(v for v in range(nvars) if owner[v] == label)
+        if zvars:
+            energy = draw(st.integers(-2, 2))
+            ops.append(EOp(energy, zvars, len(zvars) > 1 or energy == 0
+                           or draw(st.booleans())))
+    ops += [alpha_op(n) for n in draw(st.lists(
+        st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=3))]
+    balance = -sum(op.energy for op in ops)
+    if balance:
+        ops.append(alpha_op(balance))
+    ops = draw(st.permutations(ops))
+    return ops, caps, draw(st.permutations(range(nvars)))
+
+
+def renamed(ops, caps, perm):
+    """Variable i renamed perm[i] in the labels and the caps."""
+    new_caps = [0] * len(caps)
+    for i, j in enumerate(perm):
+        new_caps[j] = caps[i]
+    return ([op._replace(zvars=frozenset(perm[v] for v in op.zvars))
+             for op in ops], tuple(new_caps))
+
+
+class TestRelabelling:
+    """The memo shares one entry among all labellings of a sequence, so
+    a renamed sequence must give the series with its exponents renamed."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(labelled_sequences())
+    def test_renamed_sequence_gives_renamed_series(self, drawn):
+        ops, caps, perm = drawn
+        new_ops, new_caps = renamed(ops, caps, perm)
+        for vev in (connected_vev_series, disconnected_vev_series):
+            clear_memo()
+            series = vev(ops, caps)
+            want = TruncSeries(new_caps, {
+                tuple(e[perm.index(j)] for j in range(len(e))): c
+                for e, c in series.terms.items()})
+            # once against the warm memo, once from a cleared one
+            assert vev(new_ops, new_caps) == want
+            clear_memo()
+            assert vev(new_ops, new_caps) == want
+
+    @pytest.mark.parametrize("mu,nu,k,r,s,caps", [
+        ((6, 2), (3, 1), 2, 1, 2, (2, 4)),
+        ((3, 2), (1, 1, 1), 1, 1, 2, (3, 2)),
+        ((5, 3), (2, 2, 2), 1, 1, 2, (2, 5)),
+        ((4, 2), (3, 1, 1), 1, 1, 1, (3,)),
+        ((3, 3), (2, 1), 1, 2, 3, (3, 4, 5)),
+        ((4, 1), (2, 1), 1, 1, 2, (2, 3)),
+    ])
+    def test_caps_order_of_an_earlier_query_is_not_reused(
+            self, mu, nu, k, r, s, caps):
+        clear_memo()
+        cold = connected_hurwitz(mu, nu, k, r, s, caps=caps)
+        clear_memo()
+        connected_hurwitz(mu, nu, k, r, s, caps=tuple(reversed(caps)))
+        assert connected_hurwitz(mu, nu, k, r, s, caps=caps) == cold
+        assert cold == connected_hurwitz(mu, nu, k, r, s)
 
 
 class TestTreeDump:

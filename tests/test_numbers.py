@@ -1,7 +1,9 @@
 """Number-level API tests: disconnected assembly, one-part forms,
 torus-corrected numbers, cache, and query plumbing."""
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,15 @@ class TestDisconnected:
         assert oracle_disconnected(nu, mu, -k, r, s) == value
         if (r * s - len(mu) - len(nu)) % 2:
             assert value == 0
+
+    @pytest.mark.parametrize("mu,nu,k,r,s,value", [
+        ((4, 3), (3, 2, 1, 1), 0, 1, 6, Q(6513860, 3)),
+        ((8, 6, 4), (6, 5, 3), 1, 2, 4, Q(741905438, 27)),
+    ])
+    def test_many_insertions_match_the_oracle(self, mu, nu, k, r, s, value):
+        # many identical insertions: the relabelled memo makes these cheap
+        assert disconnected_hurwitz(mu, nu, k, r, s) == value
+        assert oracle_disconnected(mu, nu, k, r, s) == value
 
     def test_shared_memo_does_not_depend_on_query_order(self):
         # the |mu| <= 3 sweep box, in which a memo key missing r would
@@ -425,6 +436,44 @@ class TestCache:
         cache = HurwitzCache(str(path))
         assert cache.skipped == 1
         assert len(cache) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # each stored query comes back after a reload, as does its dual
+        # (nu, mu, -k); some records are written by hand with their parts
+        # in a shuffled order, as another writer might leave them
+        part_lists = st.lists(st.integers(1, 6), max_size=4)
+        queries = data.draw(st.lists(st.builds(
+            make_query, part_lists, part_lists, st.integers(-4, 4),
+            st.integers(1, 3), st.integers(0, 4), st.booleans()),
+            min_size=1, max_size=8,
+            unique_by=lambda q: min(HurwitzCache._key(q),
+                                    HurwitzCache._dual_key(q))))
+        values = data.draw(st.lists(st.fractions(), min_size=len(queries),
+                                    max_size=len(queries)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            cache = HurwitzCache(path)
+            for q, value in zip(queries, values):
+                if data.draw(st.booleans()):
+                    cache.store(q, value)
+                    continue
+                rec = {"mu": data.draw(st.permutations(q.mu)),
+                       "nu": data.draw(st.permutations(q.nu)),
+                       "k": q.k, "r": q.r, "s": q.s,
+                       "connected": q.connected,
+                       "num": str(value.numerator),
+                       "den": str(value.denominator)}
+                with open(path, "a") as fh:
+                    fh.write(json.dumps(rec) + "\n")
+            reloaded = HurwitzCache(path)
+        assert reloaded.skipped == 0
+        assert len(reloaded) == len(queries)
+        for q, value in zip(queries, values):
+            dual = make_query(q.nu, q.mu, -q.k, q.r, q.s, q.connected)
+            assert reloaded.lookup(q) == value
+            assert reloaded.lookup(dual) == value
 
     def test_duality_lookup(self):
         cache = HurwitzCache()
