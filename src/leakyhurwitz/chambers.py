@@ -262,7 +262,8 @@ def fit_chamber_polynomial(base, r, s, rng=None):
     if 0 in signs:
         raise ValueError("base point lies on a wall")
     degree = (r + 1) * s + 1 - m - n
-    if degree < 0:
+    # negative or half-integral genus: every value in the chamber is zero
+    if degree < 0 or (r * s + m + n) % 2:
         return ChamberPoly(m, n, r, s, degree, {}, base, signs)
     rng = rng if rng is not None else random.Random(20240 + degree)
     monomials = _parity_monomials(m + n, degree)

@@ -2,9 +2,10 @@
 
 Connected numbers come from the commutation engine; disconnected
 numbers assemble connected blocks over all ways to split the labeled
-parts, with the identical insertions distributed by counts.  One-part
-numbers additionally have a closed product-of-sigmas form and, in genus
-zero, a fully closed polynomial; torus-corrected comparison numbers
+parts, with the identical insertions distributed by counts.  evaluate
+sends a query to the integer Fock oracle instead where a shape-only
+cost rule finds that route clearly cheaper.  One-part numbers in genus
+zero have a fully closed polynomial; torus-corrected comparison numbers
 replace each insertion by its two-term correction.  A small
 line-oriented cache makes repeated CLI queries cheap.
 """
@@ -19,18 +20,14 @@ import time
 from functools import lru_cache
 from typing import NamedTuple
 
-from .series import (
-    Q,
-    sigma_over_sigma,
-    sigma_series,
-    zvars_form,
-)
+from .series import Q
 from .fock import (
     check_query,
     connected_hurwitz,
     disconnected_vev_series,
     hurwitz_sequence,
 )
+from .oracle import oracle_disconnected
 
 
 @lru_cache(maxsize=1024)
@@ -114,6 +111,11 @@ def _splits(parts):
         yield tuple(taken), tuple(rest), ways
 
 
+@lru_cache(maxsize=4096)
+def _split_list(parts):
+    return tuple(_splits(parts))
+
+
 def disconnected_hurwitz(mu, nu, k, r, s):
     """Disconnected number: sum over splits of the labeled parts into
     blocks, insertions distributed among blocks by counts.
@@ -139,16 +141,21 @@ def _assembly(mu, nu, k, r, s):
     anchor_nu, pool_nu = nu[:cut], nu[cut:]
     # a block with j insertions balances when |block_nu| = |block_mu| - j*k
     nu_by_size = {}
-    for taken, rest, ways in _splits(pool_nu):
+    for taken, rest, ways in _split_list(pool_nu):
         block = anchor_nu + taken
         nu_by_size.setdefault(sum(block), []).append((block, rest, ways))
     total = Q(0)
-    for sub_mu, rest_mu, ways_mu in _splits(pool_mu):
+    for sub_mu, rest_mu, ways_mu in _split_list(pool_mu):
         block_mu = anchor_mu + sub_mu
         size_mu = sum(block_mu)
         for j in range(s + 1):
             fits = nu_by_size.get(size_mu - j * k, ())
+            # 2g = r*j + 2 - m - n: a connected block of negative or
+            # half-integral genus is zero, so it skips the cache
+            room = r * j + 2 - len(block_mu)
             for block_nu, rest_nu, ways_nu in fits:
+                if len(block_nu) > room or (room - len(block_nu)) & 1:
+                    continue
                 piece = connected_cached(block_mu, block_nu, k, r, j)
                 if piece == 0:
                     continue
@@ -157,37 +164,7 @@ def _assembly(mu, nu, k, r, s):
     return total
 
 
-# -- one-part closed forms ----------------------------------------------
-
-def one_part_connected_series(d, nu, k, r, s):
-    """Connected one-part number from the closed product of sigmas.
-
-    Valid for k > 0.  The central 1/sigma(z_[s]) is folded into the
-    first nu factor as an exact ratio of unit series.
-    """
-    (d,), nu, k, r, s = check_query((d,), nu, k, r, s)
-    if k <= 0:
-        raise ValueError("the closed one-part product needs k > 0")
-    if not nu:
-        raise ValueError("nu must be nonempty")
-    if d != sum(nu) + s * k:
-        return Q(0)
-    if s == 0:
-        return Q(1, d) if nu == (d,) else Q(0)
-    caps = (r + 1,) * s
-    # ratio sigma(nu_0 z_[s]) / sigma(z_[s])
-    total = sigma_over_sigma(nu[0], 1, range(s), caps)
-    for part in nu[1:]:
-        total = total * sigma_series(zvars_form(part, range(s), s), caps)
-    for p in range(1, s + 1):
-        # linear form k*(z_1+..+z_{p-1}) + (d-(p-1)k)*z_p, 1-indexed
-        form = [0] * s
-        for q_ in range(p - 1):
-            form[q_] = k
-        form[p - 1] = d - (p - 1) * k
-        total = total * sigma_series(tuple(form), caps)
-    return total.coefficient((r + 1,) * s) / (d * math.prod(nu))
-
+# -- one-part closed form -----------------------------------------------
 
 def one_part_closed_genus0(d, m, k):
     """Genus-zero one-part closed form ((m-1)!/2^(m-2)) prod (2d - p k).
@@ -317,18 +294,45 @@ class HurwitzCache:
         return len(self._mem)
 
 
+# near a tie the engine's memos, warm across a table, win
+_FOCK_MARGIN = 5
+
+
+def _fock_cheaper(q):
+    """Shape-only route rule: True when oracle_disconnected gives q's
+    value and is clearly cheaper than the engine.
+
+    The engine's estimate is a series of about (r+2)^s terms per step of
+    a sequence of m+n+s operators; the oracle's is the size of its
+    alpha-built states, the ket's growing by |k|+1 per insertion.  A
+    connected query qualifies only where it equals the disconnected one:
+    one mu part with k >= 0 or one nu part with k <= 0 leaves no other
+    block able to balance.
+    """
+    if q.connected and not ((len(q.mu) == 1 and q.k >= 0)
+                            or (len(q.nu) == 1 and q.k <= 0)):
+        return False
+    engine = (q.r + 2) ** q.s * (len(q.mu) + len(q.nu) + q.s)
+    fock = math.prod(q.nu) * (abs(q.k) + 1) ** q.s + math.prod(q.mu)
+    return _FOCK_MARGIN * fock < engine
+
+
 def evaluate(q, cache=None):
-    """Evaluate a query, consulting and filling the cache if given."""
+    """Evaluate a query, consulting and filling the cache if given.
+
+    The method names the route: cache, fock (the oracle, where
+    _fock_cheaper picks it) or engine.
+    """
     start = time.perf_counter()
     value = cache.lookup(q) if cache is not None else None
     method = "cache"
     if value is None:
-        if q.connected:
-            value = connected_hurwitz(q.mu, q.nu, q.k, q.r, q.s)
-            method = "engine"
+        if _fock_cheaper(q):
+            route, method = oracle_disconnected, "fock"
         else:
-            value = disconnected_hurwitz(q.mu, q.nu, q.k, q.r, q.s)
-            method = "inclusion-exclusion"
+            route = connected_hurwitz if q.connected else disconnected_hurwitz
+            method = "engine"
+        value = route(q.mu, q.nu, q.k, q.r, q.s)
         if cache is not None:
             cache.store(q, value)
     ms = (time.perf_counter() - start) * 1000.0

@@ -132,6 +132,20 @@ class TestChamberFit:
         assert poly.evaluate((8, 3), (5, 4, 2)) == 0
         assert connected_hurwitz((8, 3), (5, 4, 2), 0, 1, 1) == 0
 
+    def test_half_integral_genus_returns_empty_polynomial(self, monkeypatch):
+        # r*s + m + n = 11 is odd: every value vanishes, so the fit asks
+        # the engine for none of them
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine was called")
+
+        monkeypatch.setattr(chambers, "connected_hurwitz", no_engine)
+        base = lattice_point((19, 3), (9, 5, 2), 2)
+        poly = fit_chamber_polynomial(base, 2, 3)
+        assert poly.coeffs == {}
+        assert poly.degree == 5
+        assert poly.base == base
+        assert poly.signs == sign_vector(base, 3)
+
     def test_on_wall_base_rejected(self):
         with pytest.raises(ValueError, match="wall"):
             fit_chamber_polynomial(lattice_point((5, 2), (3, 2), 1), 1, 2)

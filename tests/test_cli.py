@@ -41,14 +41,14 @@ class TestCompute:
                              "num", "den", "genus", "method", "ms"]
         assert rec["mu"] == [5] and rec["nu"] == [1, 1, 1]
         assert (rec["num"], rec["den"], rec["genus"]) == ("9", "1", "0")
-        assert rec["method"] == "engine"
+        assert rec["method"] == "fock"
 
     def test_csv_header_and_row(self, capsys):
         assert main(["compute", *ONE_PART, "--connected",
                      "--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "mu,nu,k,r,s,connected,num,den,genus,method,ms"
-        assert lines[1].startswith("5,1 1 1,1,1,2,true,9,1,0,engine,")
+        assert lines[1].startswith("5,1 1 1,1,1,2,true,9,1,0,fock,")
 
     def test_bad_part_reports_flag_and_position(self, capsys):
         code = main(["compute", "--mu", "5", "--nu", "1,1,x",
@@ -94,7 +94,7 @@ class TestCompute:
         assert main(["compute", *ONE_PART, "--connected",
                      "--cache", path, "--format", "json"]) == 0
         first = json.loads(capsys.readouterr().out)
-        assert first["method"] == "engine"
+        assert first["method"] == "fock"
         assert main(["compute", *ONE_PART, "--connected",
                      "--cache", path, "--format", "json"]) == 0
         second = json.loads(capsys.readouterr().out)

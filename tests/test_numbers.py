@@ -2,17 +2,19 @@
 torus-corrected numbers, cache, and query plumbing."""
 import json
 import os
+import pathlib
 import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leakyhurwitz.chambers import lattice_point, wall
 from leakyhurwitz.fock import canonical_partition, connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
     _assembly,
+    _fock_cheaper,
     _splits,
     aut_factor,
     cmr_leaky_r1,
@@ -22,7 +24,6 @@ from leakyhurwitz.numbers import (
     genus_of,
     make_query,
     one_part_closed_genus0,
-    one_part_connected_series,
 )
 from leakyhurwitz.oracle import (
     VACUUM,
@@ -87,7 +88,7 @@ class TestPlumbing:
         (connected_hurwitz, ((5,), (1, 1, 1), 1, 1.5, 2)),
         (disconnected_hurwitz, ((5,), (1, 1, 1), 1, 1.5, 2)),
         (disconnected_hurwitz, ((5,), (2,), 1.5, 1, 2)),
-        (one_part_connected_series, (5.5, (1, 1, 1), 1, 1, 2)),
+        (make_query, ((5.5,), (1, 1, 1), 1, 1, 2)),
         (cmr_leaky_r1, ((5,), (1, 1, 1), 1, 2.0)),
         (lattice_point, ((9, 3), (6, 2), 2.7)),
         (wall, ((0,), (0,), 1.5)),
@@ -187,26 +188,34 @@ class TestDisconnected:
 
 
 class TestOnePart:
+    # a connected query with one mu part and k >= 0 equals the
+    # disconnected one, so evaluate may answer it on the Fock route
+
+    @staticmethod
+    def value(mu, nu, k, r, s):
+        return evaluate(make_query(mu, nu, k, r, s)).value
+
     def test_anchor_values(self):
-        assert one_part_connected_series(5, (1, 1, 1), 1, 1, 2) == 9
-        assert one_part_connected_series(4, (2, 1), 1, 1, 1) == 1
-        assert one_part_connected_series(7, (1, 1, 1, 1), 1, 1, 3) == 234
+        assert self.value((5,), (1, 1, 1), 1, 1, 2) == 9
+        assert self.value((4,), (2, 1), 1, 1, 1) == 1
+        assert self.value((7,), (1, 1, 1, 1), 1, 1, 3) == 234
 
     @pytest.mark.parametrize("r,s", [(1, -1), (0, 1), (-2, 0)])
     def test_bad_r_or_s_rejected(self, r, s):
         with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
-            one_part_connected_series(2 - s, (3,), 1, r, s)
+            make_query((2 - s,), (3,), 1, r, s)
 
     def test_imbalance_and_guards(self):
-        assert one_part_connected_series(5, (1, 1), 1, 1, 1) == 0
-        with pytest.raises(ValueError):
-            one_part_connected_series(5, (1, 1, 1), 0, 1, 2)
-        with pytest.raises(ValueError):
-            one_part_connected_series(5, (1, 1, 1), -1, 1, 2)
+        assert self.value((5,), (1, 1), 1, 1, 1) == 0
+        # k < 0: a block of nu parts alone can balance, so the connected
+        # number differs from the disconnected one
+        q = make_query((1,), (3, 1, 1), -2, 2, 2)
+        assert evaluate(q).value == Q(31, 12)
+        assert evaluate(q._replace(connected=False)).value == Q(43, 16)
 
     def test_no_insertions(self):
-        assert one_part_connected_series(4, (4,), 1, 1, 0) == Q(1, 4)
-        assert one_part_connected_series(4, (2, 2), 1, 1, 0) == 0
+        assert self.value((4,), (4,), 1, 1, 0) == Q(1, 4)
+        assert self.value((4,), (2, 2), 1, 1, 0) == 0
 
     def test_matches_engine_grid(self):
         for d in range(1, 9):
@@ -219,7 +228,7 @@ class TestOnePart:
                         for nu in partitions_of(rest):
                             if len(nu) > 4:
                                 continue
-                            assert (one_part_connected_series(d, nu, k, r, s)
+                            assert (self.value((d,), nu, k, r, s)
                                     == connected_hurwitz((d,), nu, k, r, s)), \
                                 (d, nu, k, r, s)
 
@@ -257,8 +266,8 @@ class TestOnePart:
                     for nu in partitions_of(rest):
                         if len(nu) != m:
                             continue
-                        assert one_part_connected_series(
-                            d, nu, k, 1, m - 1) == closed, (d, nu, k)
+                        assert self.value(
+                            (d,), nu, k, 1, m - 1) == closed, (d, nu, k)
 
 
 # -- independent triple-boson route for the torus correction -------------
@@ -377,6 +386,64 @@ class TestTorusCorrection:
         assert cmr_leaky_r1((3,), (1,), 1, 1) == 0
 
 
+class TestRoute:
+    GOLDEN = pathlib.Path(__file__).parent / "golden" / "table_grid.json"
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_one_part_ladder_rungs_go_to_fock(self, n):
+        q = make_query((2 * n - 1,), (1,) * n, 1, 1, n - 1)
+        assert _fock_cheaper(q)
+        res = evaluate(q)
+        assert res.method == "fock"
+        assert res.value == one_part_closed_genus0(2 * n - 1, n, 1)
+
+    def test_golden_grid_rows_stay_on_the_engine(self):
+        rows = [json.loads(line) for line in
+                self.GOLDEN.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 10
+        for rec in rows:
+            q = make_query(rec["mu"], rec["nu"], rec["k"], rec["r"],
+                           rec["s"], rec["connected"])
+            assert not _fock_cheaper(q), rec
+
+    @pytest.mark.parametrize("mu,nu,k", [
+        ((12, 8), (10, 6), 2),
+        ((20, 12), (16, 10), 3),
+    ])
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_large_parts_at_two_insertions_stay_on_the_engine(
+            self, mu, nu, k, connected):
+        res = evaluate(make_query(mu, nu, k, 1, 2, connected))
+        assert res.method == "engine"
+        if not connected:
+            assert res.value == oracle_disconnected(mu, nu, k, 1, 2)
+
+    def test_one_nu_part_with_positive_k_stays_connected_on_the_engine(self):
+        q = make_query((3, 1, 1), (1,), 2, 2, 2)
+        assert _fock_cheaper(q._replace(connected=False))
+        assert not _fock_cheaper(q)
+        assert evaluate(q).value == Q(31, 12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nu=st.lists(st.integers(1, 4), max_size=3),
+           k=st.integers(-2, 3), r=st.integers(1, 2), s=st.integers(0, 4),
+           cuts=st.sets(st.integers(1, 7), max_size=3),
+           connected=st.booleans())
+    def test_evaluate_keeps_the_engine_value(self, nu, k, r, s, cuts,
+                                             connected):
+        # mu is the composition of |nu| + s*k cut at the drawn points
+        total = sum(nu) + s * k
+        assume(total >= 0)
+        ends = [0] + sorted(c for c in cuts if c < total) + [total]
+        mu = [b - a for a, b in zip(ends, ends[1:]) if b > a]
+        q = make_query(mu, nu, k, r, s, connected)
+        res = evaluate(q)
+        engine = connected_hurwitz if connected else disconnected_hurwitz
+        assert res.value == engine(*q[:5])
+        if connected and len(q.mu) > 1 and len(q.nu) > 1:
+            assert res.method == "engine"
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -486,5 +553,5 @@ class TestCache:
     def test_disconnected_method_tag(self):
         q = make_query((2, 2), (2,), 2, 1, 1, connected=False)
         res = evaluate(q)
-        assert res.method == "inclusion-exclusion"
+        assert res.method == "engine"
         assert res.value == Q(9, 8)
