@@ -20,74 +20,46 @@ criteria; ``leakyhurwitz`` is also an installable command-line tool.
 
 Everything user-facing is exact: values are ``fractions.Fraction``
 and verification is equality, not approximation.
+
+Exported names and submodules load on first use (PEP 562), so importing
+the package or its command-line front end compiles and runs only the
+modules a command needs.
 """
 
-from .chambers import (
-    ChamberFitError,
-    ChamberPoly,
-    ChamberSampleError,
-    LatticePoint,
-    Wall,
-    all_walls,
-    complement_wall,
-    delta_of,
-    fit_chamber_polynomial,
-    lattice_point,
-    sign_vector,
-    wall,
-    wall_crossing_genus0,
-    wall_crossing_series,
-)
-from .cutjoin import verify_cut_and_join
-from .fock import commutation_tree_dot, connected_hurwitz, hurwitz_sequence
-from .numbers import (
-    HurwitzCache,
-    HurwitzQuery,
-    HurwitzResult,
-    aut_factor,
-    cmr_leaky_r1,
-    disconnected_hurwitz,
-    evaluate,
-    genus_of,
-    make_query,
-    one_part_closed_genus0,
-)
-from .oracle import oracle_disconnected
-from .series import Q, TruncSeries
-from .verify import format_report, run_all
+from importlib import import_module
 
-__all__ = [
-    "ChamberFitError",
-    "ChamberPoly",
-    "ChamberSampleError",
-    "HurwitzCache",
-    "HurwitzQuery",
-    "HurwitzResult",
-    "LatticePoint",
-    "Q",
-    "TruncSeries",
-    "Wall",
-    "all_walls",
-    "aut_factor",
-    "cmr_leaky_r1",
-    "commutation_tree_dot",
-    "complement_wall",
-    "connected_hurwitz",
-    "delta_of",
-    "disconnected_hurwitz",
-    "evaluate",
-    "fit_chamber_polynomial",
-    "format_report",
-    "genus_of",
-    "hurwitz_sequence",
-    "lattice_point",
-    "make_query",
-    "one_part_closed_genus0",
-    "oracle_disconnected",
-    "run_all",
-    "sign_vector",
-    "verify_cut_and_join",
-    "wall",
-    "wall_crossing_genus0",
-    "wall_crossing_series",
-]
+# home module -> the names it exports here
+_HOMES = {
+    "chambers": ("ChamberFitError", "ChamberPoly", "ChamberSampleError",
+                 "LatticePoint", "Wall", "all_walls", "complement_wall",
+                 "delta_of", "fit_chamber_polynomial", "lattice_point",
+                 "sign_vector", "wall", "wall_crossing_genus0",
+                 "wall_crossing_series"),
+    "cutjoin": ("verify_cut_and_join",),
+    "fock": ("commutation_tree_dot", "connected_hurwitz", "hurwitz_sequence"),
+    "numbers": ("HurwitzCache", "HurwitzQuery", "HurwitzResult",
+                "aut_factor", "cmr_leaky_r1", "disconnected_hurwitz",
+                "evaluate", "genus_of", "make_query",
+                "one_part_closed_genus0"),
+    "oracle": ("oracle_disconnected",),
+    "series": ("Q", "TruncSeries"),
+    "verify": ("format_report", "run_all"),
+}
+_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    home = _EXPORTS.get(name)
+    if home is None and name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{home or name}", __name__)
+    value = module if home is None else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _EXPORTS.keys() | _SUBMODULES)

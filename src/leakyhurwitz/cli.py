@@ -16,19 +16,6 @@ import os
 import sys
 import time
 
-from .chambers import (
-    ChamberFitError,
-    ChamberSampleError,
-    delta_of,
-    fit_chamber_polynomial,
-    format_chamber_report,
-    format_wall_report,
-    lattice_point,
-    wall,
-    wall_crossing_genus0,
-    wall_crossing_series,
-)
-from .cutjoin import verify_cut_and_join
 from .fock import (
     commutation_tree_dot,
     connected_hurwitz,
@@ -42,7 +29,9 @@ from .numbers import (
     genus_of,
     make_query,
 )
-from . import verify as verify_mod
+
+# chambers, cutjoin and verify are imported inside the commands that use
+# them, so compute and table load only the modules they run
 
 CACHE_ENV = "LEAKYHURWITZ_CACHE"
 RECORD_FORMATS = ("plain", "json", "csv")
@@ -218,6 +207,21 @@ def cmd_compute(args, out):
     return 0
 
 
+def balanced_triples(profiles, ks, s):
+    """Every (mu, nu, k) with |mu| = |nu| + s k and k in the range ks:
+    mu outer, nu inner, k ascending."""
+    sized = [(p, sum(p)) for p in profiles]
+    for mu, a in sized:
+        for nu, b in sized:
+            if s == 0:
+                if a == b:
+                    yield from ((mu, nu, k) for k in ks)
+                continue
+            k, rem = divmod(a - b, s)
+            if rem == 0 and k in ks:
+                yield mu, nu, k
+
+
 def cmd_table(args, out):
     if args.max_part < 1:
         raise UsageError("--max-part: must be >= 1")
@@ -231,14 +235,9 @@ def cmd_table(args, out):
     # shortest first, ascending within a length
     profiles = [p for length in range(args.max_len + 1)
                 for p in reversed(bounded_profiles(args.max_part, length))]
-    queries = []
-    for mu in profiles:
-        for nu in profiles:
-            for k in range(args.k_min, args.k_max + 1):
-                if sum(mu) != sum(nu) + s * k:
-                    continue
-                queries.append(make_query(mu, nu, k, args.r, s,
-                                          args.connected))
+    queries = [make_query(mu, nu, k, args.r, s, args.connected)
+               for mu, nu, k in balanced_triples(
+                   profiles, range(args.k_min, args.k_max + 1), s)]
     cache = open_cache(args)
     emit_records([number_record(evaluate(q, cache)) for q in queries],
                  args.format, out)
@@ -246,6 +245,9 @@ def cmd_table(args, out):
 
 
 def cmd_chamber_fit(args, out):
+    from .chambers import (ChamberFitError, ChamberSampleError,
+                           fit_chamber_polynomial, format_chamber_report,
+                           lattice_point)
     mu = parse_parts(args.mu, "--mu")
     nu = parse_parts(args.nu, "--nu")
     if not mu or not nu:
@@ -283,6 +285,8 @@ def cmd_chamber_fit(args, out):
 
 
 def cmd_wall_cross(args, out):
+    from .chambers import (delta_of, format_wall_report, lattice_point, wall,
+                           wall_crossing_genus0, wall_crossing_series)
     mu = parse_parts(args.mu, "--mu")
     nu = parse_parts(args.nu, "--nu")
     if not mu or not nu:
@@ -330,6 +334,7 @@ def cmd_wall_cross(args, out):
 
 
 def cmd_cutjoin_verify(args, out):
+    from .cutjoin import verify_cut_and_join
     nu = parse_parts(args.nu, "--nu")
     s = resolve_s(args, 0, len(nu))
     if s < 1:
@@ -363,6 +368,7 @@ def cmd_cutjoin_verify(args, out):
 
 
 def cmd_oracle_verify(args, out):
+    from . import verify as verify_mod
     if args.max_size < 0 or args.max_s < 0:
         raise UsageError("--max-size/--max-s: must be >= 0")
     checked, failures = verify_mod.oracle_sweep(args.max_size, args.max_s)
@@ -396,6 +402,7 @@ def cmd_tree_dump(args, out):
 
 
 def cmd_selftest(args, out):
+    from . import verify as verify_mod
     if args.criteria:
         try:
             numbers = sorted({int(tok) for tok in args.criteria.split(",")})

@@ -29,6 +29,12 @@ from .numbers import (
 )
 
 
+@lru_cache(maxsize=8)
+def _inverse_sigma(caps):
+    """1/S(z) for sigma(z) = z S(z), the same for every bracket of one r."""
+    return invert_unit_series(unit_s_series((1,), caps))
+
+
 @lru_cache(maxsize=4096)
 def _bracket(A, B, r):
     """[z^(r+1)] (1/sigma(z)) prod sigma(a z) prod sigma(b z).
@@ -42,7 +48,7 @@ def _bracket(A, B, r):
     if (len(A) + len(B)) % 2 != r % 2:
         return Q(0)
     caps = (r + 2,)
-    prod = invert_unit_series(unit_s_series((1,), caps))
+    prod = _inverse_sigma(caps)
     for a in A:
         prod = prod * sigma_series((a,), caps)
     for b in B:

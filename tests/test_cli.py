@@ -11,7 +11,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leakyhurwitz.cli import main
+from leakyhurwitz.cli import balanced_triples, main
+from leakyhurwitz.numbers import bounded_profiles
 
 ONE_PART = ["--mu", "5", "--nu", "1,1,1", "--k", "1", "--r", "1", "--s", "2"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -138,6 +139,16 @@ class TestTable:
         assert strip_ms(capsys.readouterr().out) == first
         assert first == (GOLDEN / "table_grid.json").read_text(
             encoding="utf-8")
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_balanced_triples_match_the_full_scan(self, s):
+        profiles = [p for length in range(4)
+                    for p in reversed(bounded_profiles(4, length))]
+        ks = range(-3, 3)
+        scan = [(mu, nu, k) for mu in profiles for nu in profiles
+                for k in ks if sum(mu) == sum(nu) + s * k]
+        assert list(balanced_triples(profiles, ks, s)) == scan
+        assert any(k < 0 for _, _, k in scan)
 
 
 class TestChamberFit:
@@ -375,6 +386,22 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert bad.returncode == 2
         assert "--no-such-flag" in bad.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["chamber-fit", *TestChamberFit.BASE[1:]],
+        [*TestWallCross.POINT, "--wall-I", "1", "--wall-J", "1"],
+        ["cutjoin-verify", "--nu", "2", "--k", "0"],
+        ["oracle-verify", "--max-size", "1"],
+        ["selftest", "--criteria", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_lazily_importing_command_runs_in_a_fresh_process(self, argv):
+        # in-process tests run after other tests have loaded chambers,
+        # cutjoin and verify, so only a fresh process sees a missing import
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakyhurwitz.cli", *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
 
     @pytest.mark.skipif(shutil.which("leakyhurwitz") is None,
                         reason="console script not on PATH")
