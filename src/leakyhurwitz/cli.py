@@ -10,6 +10,7 @@ Output ordering (records and map keys) is deterministic for fixed
 inputs; only the timing field varies between runs.
 """
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -131,8 +132,18 @@ def parse_caps(text, r, s):
 
 
 def open_cache(args):
-    path = args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
-    return HurwitzCache(path) if path else None
+    """Context manager for the cache --cache or $LEAKYHURWITZ_CACHE names
+    (None without one); a path that cannot be opened is a usage error."""
+    flag, path = "--cache", args.cache
+    if path is None:
+        flag, path = f"${CACHE_ENV}", os.environ.get(CACHE_ENV)
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return contextlib.closing(HurwitzCache(path))
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot open cache file {path!r}: "
+                         f"{exc.strerror}") from None
 
 
 # -- records -------------------------------------------------------------
@@ -201,8 +212,8 @@ def cmd_compute(args, out):
         ms = (time.perf_counter() - start) * 1000.0
         rec = number_record(HurwitzResult(value, q, "engine-caps", ms))
     else:
-        res = evaluate(q, open_cache(args))
-        rec = number_record(res)
+        with open_cache(args) as cache:
+            rec = number_record(evaluate(q, cache))
     emit_records([rec], args.format, out)
     return 0
 
@@ -238,9 +249,9 @@ def cmd_table(args, out):
     queries = [make_query(mu, nu, k, args.r, s, args.connected)
                for mu, nu, k in balanced_triples(
                    profiles, range(args.k_min, args.k_max + 1), s)]
-    cache = open_cache(args)
-    emit_records([number_record(evaluate(q, cache)) for q in queries],
-                 args.format, out)
+    with open_cache(args) as cache:
+        records = [number_record(evaluate(q, cache)) for q in queries]
+    emit_records(records, args.format, out)
     return 0
 
 

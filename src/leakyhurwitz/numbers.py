@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import time
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,6 +40,20 @@ def partitions_of(total, max_part=None):
     cap = total if max_part is None else min(max_part, total)
     return tuple((first,) + rest for first in range(cap, 0, -1)
                  for rest in partitions_of(total - first, first))
+
+
+_P = [1]
+
+
+def partition_count(n):
+    """p(n) for n >= 0 by Euler's pentagonal recurrence, memoized in _P."""
+    while len(_P) <= n:
+        m = len(_P)
+        _P.append(sum(_P[m - g] if j & 1 else -_P[m - g]
+                      for j in range(1, math.isqrt(m) + 2)
+                      for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+                      if g <= m))
+    return _P[n]
 
 
 def bounded_profiles(max_part, length):
@@ -231,30 +244,40 @@ class HurwitzCache:
     check_query as a query's.  A line that does not decode to a full
     record, such as the tail of an append cut short, or that fails that
     check, such as a part that is not a positive integer or r = 0, is
-    skipped and counted in skipped.
+    skipped and counted in skipped.  The file is opened once, so an
+    unusable path raises OSError here.
     """
 
     def __init__(self, path=None):
-        self._path = path
         self._mem = {}
         self.skipped = 0
-        if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        key = (*check_query(rec["mu"], rec["nu"], rec["k"],
-                                            rec["r"], rec["s"]),
-                               rec["connected"])
-                        value = Q(int(rec["num"]), int(rec["den"]))
-                    except (ValueError, KeyError, TypeError,
-                            ZeroDivisionError):
-                        self.skipped += 1
-                        continue
-                    self._mem[key] = value
+        self._fh = None
+        # a file cut mid-record gets its own line ended by the first
+        # append, so that record is not glued onto the fragment
+        self._sep = b""
+        if not path:
+            return
+        self._fh = open(path, "a+b")
+        self._fh.seek(0)
+        for raw in self._fh:
+            self._sep = b"" if raw.endswith(b"\n") else b"\n"
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                key = (*check_query(rec["mu"], rec["nu"], rec["k"],
+                                    rec["r"], rec["s"]),
+                       rec["connected"])
+                value = Q(int(rec["num"]), int(rec["den"]))
+            except (ValueError, KeyError, TypeError, ZeroDivisionError):
+                self.skipped += 1
+                continue
+            self._mem[key] = value
+
+    def close(self):
+        if self._fh is not None:
+            self._fh.close()
 
     @staticmethod
     def _key(q):
@@ -272,67 +295,69 @@ class HurwitzCache:
 
     def store(self, q, value):
         self._mem[self._key(q)] = value
-        if self._path:
-            num = value.numerator
-            den = value.denominator
-            rec = {
-                "mu": list(q.mu), "nu": list(q.nu), "k": q.k,
-                "r": q.r, "s": q.s, "connected": q.connected,
-                "num": str(num), "den": str(den),
-            }
-            line = (json.dumps(rec, sort_keys=True) + "\n").encode()
-            with open(self._path, "a+b") as fh:
-                # a file cut mid-record gets its own line ended first,
-                # so this record is not glued onto the fragment
-                if fh.tell():
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        line = b"\n" + line
-                fh.write(line)
+        if self._fh is not None:
+            rec = dict(q._asdict(), num=str(value.numerator),
+                       den=str(value.denominator))
+            self._fh.write(self._sep
+                           + (json.dumps(rec, sort_keys=True) + "\n").encode())
+            self._fh.flush()
+            self._sep = b""
 
     def __len__(self):
         return len(self._mem)
 
 
-# near a tie the engine's memos, warm across a table, win
-_FOCK_MARGIN = 5
+# cold, an oracle state costs about a fifth of an engine term; memos warm
+# across a table bring that to a third, and win on the smallest queries
+_FOCK_SCALE = 3
+_FOCK_OFFSET = 30
 
 
 def _fock_cheaper(q):
     """Shape-only route rule: True when oracle_disconnected gives q's
     value and is clearly cheaper than the engine.
 
-    The engine's estimate is a series of about (r+2)^s terms per step of
-    a sequence of m+n+s operators; the oracle's is the size of its
-    alpha-built states, the ket's growing by |k|+1 per insertion.  A
-    connected query qualifies only where it equals the disconnected one:
-    one mu part with k >= 0 or one nu part with k <= 0 leaves no other
-    block able to balance.
+    The engine's estimate E is a series of about (r+2)^s terms per step
+    of a sequence of m+n+s operators.  The oracle's F bounds the states
+    it touches on the dual query: a charge-zero state of energy e is a
+    partition of e, so F = p(|mu|) + sum_{j<s} p(|nu| + j k) + p(|nu|),
+    the ket built from mu, the ket after each insertion and the bra
+    built from nu; the oracle is taken when F + _FOCK_OFFSET <
+    _FOCK_SCALE E.  A connected query qualifies only where it equals the
+    disconnected one: one mu part with k >= 0 or one nu part with k <= 0
+    leaves no other block able to balance.
     """
     if q.connected and not ((len(q.mu) == 1 and q.k >= 0)
                             or (len(q.nu) == 1 and q.k <= 0)):
         return False
-    engine = (q.r + 2) ** q.s * (len(q.mu) + len(q.nu) + q.s)
-    fock = math.prod(q.nu) * (abs(q.k) + 1) ** q.s + math.prod(q.mu)
-    return _FOCK_MARGIN * fock < engine
+    budget = (_FOCK_SCALE * (q.r + 2) ** q.s
+              * (len(q.mu) + len(q.nu) + q.s) - _FOCK_OFFSET)
+    b = sum(q.nu)
+    sizes = [sum(q.mu), b] + [b + j * q.k for j in range(q.s)]
+    # p(e) >= 2^(isqrt(e) - 1) (subsets of 2..isqrt(e), padded with
+    # ones), so an energy this large is over budget without the recurrence
+    return (math.isqrt(max(sizes)) <= budget.bit_length()
+            and sum(map(partition_count, sizes)) < budget)
 
 
 def evaluate(q, cache=None):
     """Evaluate a query, consulting and filling the cache if given.
 
     The method names the route: cache, fock (the oracle, where
-    _fock_cheaper picks it) or engine.
+    _fock_cheaper picks it) or engine.  The oracle runs on the dual
+    query, of the same value, so a table's kets grow from its outer mu.
     """
     start = time.perf_counter()
     value = cache.lookup(q) if cache is not None else None
     method = "cache"
     if value is None:
         if _fock_cheaper(q):
-            route, method = oracle_disconnected, "fock"
+            value = oracle_disconnected(q.nu, q.mu, -q.k, q.r, q.s)
+            method = "fock"
         else:
             route = connected_hurwitz if q.connected else disconnected_hurwitz
+            value = route(q.mu, q.nu, q.k, q.r, q.s)
             method = "engine"
-        value = route(q.mu, q.nu, q.k, q.r, q.s)
         if cache is not None:
             cache.store(q, value)
     ms = (time.perf_counter() - start) * 1000.0

@@ -134,7 +134,7 @@ def default_window(mu, nu, k, r, s):
     return max(sum(mu), sum(nu), 1) + s * (abs(k) + r + 2) + 2
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _alpha_built_state(parts):
     """Product of alpha_{-p} over parts, applied to the vacuum (cached).
 
@@ -160,7 +160,7 @@ def _ket_state(nu, k, r, s):
     return comb
 
 
-def oracle_disconnected(mu, nu, k, r, s, literal=False):
+def oracle_disconnected(mu, nu, k, r, s):
     """Disconnected leaky Hurwitz number by direct Fock-space evaluation.
 
     Applies, right to left on the vacuum: alpha_{-nu_j}, then s copies of
@@ -168,8 +168,7 @@ def oracle_disconnected(mu, nu, k, r, s, literal=False):
     the alpha-built bra; divides by prod(mu) * prod(nu) and the
     insertions' common denominator.  The bra pairing equals literally
     applying alpha_{mu_i} and reading the vacuum coefficient (alpha_n and
-    alpha_{-n} are mutually adjoint fermion moves); literal=True runs
-    that slower route instead, kept as an internal cross-check.
+    alpha_{-n} are mutually adjoint fermion moves).
     """
     mu = tuple(sorted(mu, reverse=True))
     nu = tuple(sorted(nu, reverse=True))
@@ -183,11 +182,6 @@ def oracle_disconnected(mu, nu, k, r, s, literal=False):
     den = (2 ** (r + 1) * factorial(r + 1)) ** s
     for p in mu + nu:
         den *= p
-    if literal:
-        comb, window = ket, default_window(mu, nu, k, r, s)
-        for p in mu:
-            comb = apply_alpha(comb, p, window)
-        return Q(comb.get(VACUUM, 0), den)
     bra = _alpha_built_state(mu)
     small, big = (bra, ket) if len(bra) <= len(ket) else (ket, bra)
     val = 0

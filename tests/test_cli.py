@@ -116,6 +116,18 @@ class TestCompute:
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "cache"
 
+    def test_unusable_cache_from_environment_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LEAKYHURWITZ_CACHE", str(tmp_path))
+
+        def fail(*args):
+            raise AssertionError("evaluated before the cache was opened")
+
+        monkeypatch.setattr("leakyhurwitz.cli.evaluate", fail)
+        assert main(["compute", *ONE_PART, "--connected"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: $LEAKYHURWITZ_CACHE: ")
+
 
 class TestTable:
     GRID = ["table", "--max-part", "3", "--max-len", "1", "--k-min", "-1",
@@ -402,6 +414,24 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", *ONE_PART, "--connected"],
+        ["table", "--s", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_cache_path_is_a_usage_error(self, tmp_path, argv,
+                                                  where):
+        path = (tmp_path / "missing" / "cache.jsonl"
+                if where == "missing-directory" else tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakyhurwitz.cli", *argv,
+             "--cache", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: --cache: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.skipif(shutil.which("leakyhurwitz") is None,
                         reason="console script not on PATH")

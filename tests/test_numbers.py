@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from leakyhurwitz import numbers
 from leakyhurwitz.chambers import lattice_point, wall
 from leakyhurwitz.fock import canonical_partition, connected_hurwitz
 from leakyhurwitz.numbers import (
@@ -24,6 +25,7 @@ from leakyhurwitz.numbers import (
     genus_of,
     make_query,
     one_part_closed_genus0,
+    partition_count,
 )
 from leakyhurwitz.oracle import (
     VACUUM,
@@ -424,6 +426,48 @@ class TestRoute:
         assert not _fock_cheaper(q)
         assert evaluate(q).value == Q(31, 12)
 
+    @pytest.mark.parametrize("mu,nu,r,s,value", [
+        ((8, 6, 4), (6, 5, 3), 1, 4, Q(75737, 2)),
+        ((8, 6, 4), (6, 5, 4), 2, 3, Q(1892351, 27)),
+        ((6, 4, 2), (5, 3, 2), 2, 2, Q(101)),
+    ])
+    def test_multi_part_disconnected_ladder_rungs_go_to_fock(
+            self, mu, nu, r, s, value):
+        q = make_query(mu, nu, 1, r, s, connected=False)
+        res = evaluate(q)
+        assert res.method == "fock"
+        assert res.value == value == disconnected_hurwitz(mu, nu, 1, r, s)
+
+    def test_connected_multi_part_ladder_rung_stays_on_the_engine(self):
+        assert evaluate(make_query((9, 3), (6, 2), 2, 1, 2)).method == "engine"
+
+    def test_huge_energy_is_judged_without_the_recurrence(self):
+        q = make_query((20000,), (20000,), 0, 1, 1)
+        assert not _fock_cheaper(q)
+        assert len(numbers._P) < 20000
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_partition_count_matches_the_enumeration(self, n):
+        assert partition_count(n) == len(list(partitions_of(n)))
+
+    @staticmethod
+    def _drawn_query(nu, k, r, s, cuts, connected):
+        # mu is the composition of |nu| + s*k cut at the drawn points
+        total = sum(nu) + s * k
+        assume(total >= 0)
+        ends = [0] + sorted(c for c in cuts if c < total) + [total]
+        mu = [b - a for a, b in zip(ends, ends[1:]) if b > a]
+        return make_query(mu, nu, k, r, s, connected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nu=st.lists(st.integers(1, 4), max_size=3),
+           k=st.integers(-2, 3), r=st.integers(1, 2), s=st.integers(0, 4),
+           cuts=st.sets(st.integers(1, 7), max_size=3))
+    def test_dual_oriented_oracle_equals_the_engine(self, nu, k, r, s, cuts):
+        q = self._drawn_query(nu, k, r, s, cuts, False)
+        assert (oracle_disconnected(q.nu, q.mu, -q.k, q.r, q.s)
+                == disconnected_hurwitz(*q[:5]))
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(nu=st.lists(st.integers(1, 4), max_size=3),
            k=st.integers(-2, 3), r=st.integers(1, 2), s=st.integers(0, 4),
@@ -431,12 +475,7 @@ class TestRoute:
            connected=st.booleans())
     def test_evaluate_keeps_the_engine_value(self, nu, k, r, s, cuts,
                                              connected):
-        # mu is the composition of |nu| + s*k cut at the drawn points
-        total = sum(nu) + s * k
-        assume(total >= 0)
-        ends = [0] + sorted(c for c in cuts if c < total) + [total]
-        mu = [b - a for a, b in zip(ends, ends[1:]) if b > a]
-        q = make_query(mu, nu, k, r, s, connected)
+        q = self._drawn_query(nu, k, r, s, cuts, connected)
         res = evaluate(q)
         engine = connected_hurwitz if connected else disconnected_hurwitz
         assert res.value == engine(*q[:5])

@@ -234,9 +234,18 @@ class TestDisconnected:
             ((2, 2), (3, 3), -1, 1, 2),
             ((3, 1), (1, 1), 1, 1, 2),
         ]
-        for args in cases:
-            assert (oracle_disconnected(*args)
-                    == oracle_disconnected(*args, literal=True))
+        for mu, nu, k, r, s in cases:
+            # apply alpha_{mu_i} to the ket literally and read the vacuum
+            # coefficient, instead of pairing with the alpha-built bra
+            comb = _ket_state(nu, k, r, s)
+            window = default_window(mu, nu, k, r, s)
+            for p in mu:
+                comb = apply_alpha(comb, p, window)
+            den = (2 ** (r + 1) * factorial(r + 1)) ** s
+            for p in mu + nu:
+                den *= p
+            assert (oracle_disconnected(mu, nu, k, r, s)
+                    == Q(comb.get(VACUUM, 0), den))
 
     def test_swap_duality(self):
         rng = random.Random(5)
