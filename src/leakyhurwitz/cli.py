@@ -131,19 +131,32 @@ def parse_caps(text, r, s):
     return tuple(caps)
 
 
+@contextlib.contextmanager
 def open_cache(args):
     """Context manager for the cache --cache or $LEAKYHURWITZ_CACHE names
-    (None without one); a path that cannot be opened is a usage error."""
+    (None without one).  A path that cannot be read is a usage error
+    before any work; one that cannot be written is a usage error at the
+    first value the cache has to store."""
     flag, path = "--cache", args.cache
     if path is None:
         flag, path = f"${CACHE_ENV}", os.environ.get(CACHE_ENV)
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return contextlib.closing(HurwitzCache(path))
+        cache = HurwitzCache(path)
     except OSError as exc:
         raise UsageError(f"{flag}: cannot open cache file {path!r}: "
                          f"{exc.strerror}") from None
+    try:
+        yield cache
+    except OSError as exc:
+        if exc.filename != path:
+            raise
+        raise UsageError(f"{flag}: cannot write cache file {path!r}: "
+                         f"{exc.strerror}") from None
+    finally:
+        cache.close()
 
 
 # -- records -------------------------------------------------------------

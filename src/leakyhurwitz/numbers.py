@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import time
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,7 +47,9 @@ _P = [1]
 
 
 def partition_count(n):
-    """p(n) for n >= 0 by Euler's pentagonal recurrence, memoized in _P."""
+    """p(n) by Euler's pentagonal recurrence, memoized in _P; 0 for n < 0."""
+    if n < 0:
+        return 0
     while len(_P) <= n:
         m = len(_P)
         _P.append(sum(_P[m - g] if j & 1 else -_P[m - g]
@@ -134,10 +137,13 @@ def disconnected_hurwitz(mu, nu, k, r, s):
     blocks, insertions distributed among blocks by counts.
 
     Blocks holding neither a mu- nor a nu-part vanish and are skipped;
-    the fully empty input at s=0 counts the empty cover once.
+    the fully empty input at s=0 counts the empty cover once.  The
+    blocks' r*j - m_b - n_b add up to r*s - m - n, so when that is odd
+    every split holds a block of half-integral genus and the number is
+    zero.
     """
     mu, nu, k, r, s = check_query(mu, nu, k, r, s)
-    if sum(mu) != sum(nu) + s * k:
+    if sum(mu) != sum(nu) + s * k or (r * s - len(mu) - len(nu)) & 1:
         return Q(0)
     return _assembly(mu, nu, k, r, s)
 
@@ -244,36 +250,44 @@ class HurwitzCache:
     check_query as a query's.  A line that does not decode to a full
     record, such as the tail of an append cut short, or that fails that
     check, such as a part that is not a positive integer or r = 0, is
-    skipped and counted in skipped.  The file is opened once, so an
-    unusable path raises OSError here.
+    skipped and counted in skipped.  A directory, or a path in a
+    directory that does not exist, raises OSError here.  The file is
+    opened for appending once, at the first store, so a cache that only
+    serves lookups needs no write access and is not created.
     """
 
     def __init__(self, path=None):
         self._mem = {}
         self.skipped = 0
+        self._path = path
         self._fh = None
         # a file cut mid-record gets its own line ended by the first
         # append, so that record is not glued onto the fragment
         self._sep = b""
         if not path:
             return
-        self._fh = open(path, "a+b")
-        self._fh.seek(0)
-        for raw in self._fh:
-            self._sep = b"" if raw.endswith(b"\n") else b"\n"
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                key = (*check_query(rec["mu"], rec["nu"], rec["k"],
-                                    rec["r"], rec["s"]),
-                       rec["connected"])
-                value = Q(int(rec["num"]), int(rec["den"]))
-            except (ValueError, KeyError, TypeError, ZeroDivisionError):
-                self.skipped += 1
-                continue
-            self._mem[key] = value
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise
+            return
+        with fh:
+            for raw in fh:
+                self._sep = b"" if raw.endswith(b"\n") else b"\n"
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    key = (*check_query(rec["mu"], rec["nu"], rec["k"],
+                                        rec["r"], rec["s"]),
+                           rec["connected"])
+                    value = Q(int(rec["num"]), int(rec["den"]))
+                except (ValueError, KeyError, TypeError, ZeroDivisionError):
+                    self.skipped += 1
+                    continue
+                self._mem[key] = value
 
     def close(self):
         if self._fh is not None:
@@ -295,7 +309,9 @@ class HurwitzCache:
 
     def store(self, q, value):
         self._mem[self._key(q)] = value
-        if self._fh is not None:
+        if self._path:
+            if self._fh is None:
+                self._fh = open(self._path, "ab")
             rec = dict(q._asdict(), num=str(value.numerator),
                        den=str(value.denominator))
             self._fh.write(self._sep
@@ -325,8 +341,13 @@ def _fock_cheaper(q):
     built from nu; the oracle is taken when F + _FOCK_OFFSET <
     _FOCK_SCALE E.  A connected query qualifies only where it equals the
     disconnected one: one mu part with k >= 0 or one nu part with k <= 0
-    leaves no other block able to balance.
+    leaves no other block able to balance.  An unbalanced query, or one
+    of half-integral genus, is zero, and the engine returns that before
+    building anything.
     """
+    if (sum(q.mu) != sum(q.nu) + q.s * q.k
+            or (q.r * q.s - len(q.mu) - len(q.nu)) & 1):
+        return False
     if q.connected and not ((len(q.mu) == 1 and q.k >= 0)
                             or (len(q.nu) == 1 and q.k <= 0)):
         return False

@@ -116,6 +116,30 @@ class TestCompute:
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "cache"
 
+    def test_read_only_cache_serves_lookups_and_refuses_stores(
+            self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "cache.jsonl")
+        assert main(["compute", *ONE_PART, "--connected",
+                     "--cache", path]) == 0
+        capsys.readouterr()
+
+        def read_only(file, mode="r", *args, **kwargs):
+            if "r" not in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, *args, **kwargs)
+
+        # a chmod would not stop a superuser, so the denial is simulated
+        monkeypatch.setattr("leakyhurwitz.numbers.open", read_only,
+                            raising=False)
+        assert main(["compute", *ONE_PART, "--connected", "--cache", path,
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "cache"
+        assert main(["compute", *ONE_PART, "--cache", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "usage error: --cache: cannot write cache file ")
+        assert captured.out == ""
+
     def test_unusable_cache_from_environment_fails_before_any_work(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LEAKYHURWITZ_CACHE", str(tmp_path))
@@ -398,6 +422,19 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert bad.returncode == 2
         assert "--no-such-flag" in bad.stderr
+
+    @pytest.mark.parametrize("connected", [[], ["--connected"]],
+                             ids=["disconnected", "connected"])
+    def test_unbalanced_negative_k_query_is_zero_in_a_fresh_process(
+            self, connected):
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakyhurwitz.cli", "compute",
+             "--mu", "1", "--nu", "1", "--k", "-5", "--s", "3",
+             *connected, "--format", "json"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        assert (rec["num"], rec["den"], rec["method"]) == ("0", "1", "engine")
 
     @pytest.mark.parametrize("argv", [
         ["chamber-fit", *TestChamberFit.BASE[1:]],

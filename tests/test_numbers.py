@@ -441,6 +441,20 @@ class TestRoute:
     def test_connected_multi_part_ladder_rung_stays_on_the_engine(self):
         assert evaluate(make_query((9, 3), (6, 2), 2, 1, 2)).method == "engine"
 
+    @pytest.mark.parametrize("mu,nu,k,s,connected", [
+        pytest.param((4, 4, 3, 3), (3, 2), 3, 3, False, id="half-genus"),
+        pytest.param((9,), (3, 2, 1), 1, 3, True, id="half-genus-one-part"),
+        pytest.param((1,), (1,), -5, 3, True, id="unbalanced"),
+        pytest.param((1,), (1,), -5, 3, False, id="unbalanced-disc"),
+    ])
+    def test_zero_by_parity_or_balance_stays_on_the_engine(
+            self, mu, nu, k, s, connected):
+        misses = numbers._assembly.cache_info().misses
+        res = evaluate(make_query(mu, nu, k, 1, s, connected))
+        assert res.method == "engine"
+        assert res.value == 0
+        assert numbers._assembly.cache_info().misses == misses
+
     def test_huge_energy_is_judged_without_the_recurrence(self):
         q = make_query((20000,), (20000,), 0, 1, 1)
         assert not _fock_cheaper(q)
@@ -449,6 +463,9 @@ class TestRoute:
     @pytest.mark.parametrize("n", range(31))
     def test_partition_count_matches_the_enumeration(self, n):
         assert partition_count(n) == len(list(partitions_of(n)))
+
+    def test_partition_count_of_a_negative_energy_is_zero(self):
+        assert partition_count(-4) == 0
 
     @staticmethod
     def _drawn_query(nu, k, r, s, cuts, connected):
@@ -493,6 +510,23 @@ class TestCache:
         assert res.value == 1
         reloaded = HurwitzCache(path)
         assert reloaded.lookup(q) == res.value
+
+    def test_file_is_created_at_the_first_store(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = HurwitzCache(str(path))
+        q = make_query((5,), (2, 2), 1, 1, 1)
+        assert cache.lookup(q) is None
+        assert not path.exists()
+        evaluate(q, cache)
+        cache.close()
+        assert HurwitzCache(str(path)).lookup(q) == 1
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_path_raises_on_open(self, tmp_path, where):
+        path = (tmp_path / "missing" / "cache.jsonl"
+                if where == "missing-directory" else tmp_path)
+        with pytest.raises(OSError):
+            HurwitzCache(str(path))
 
     def test_torn_last_line_is_skipped_and_the_next_append_is_clean(
             self, tmp_path):
