@@ -19,24 +19,21 @@ the one common denominator at the end.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, inf
+from math import factorial
+from operator import index
 
 from .series import Q
 
 VACUUM = (0, 0)
 
 
-class OracleWindowError(RuntimeError):
-    """A fermion move landed outside the configured slot window."""
-
-
-def _moves(state, k, window):
+def _moves(state, k):
     """Yield (state', odd, dw) for each slot w that E_{w+k, w} moves.
 
     dw = 2w is the doubled source slot and odd the parity of the wedge
     sign.  For k = 0 the terms are the normally ordered diagonal action
     instead: +1 on each occupied positive slot, -1 on each empty negative
-    one.  A move touching a slot of bit index >= window raises.
+    one.
     """
     parts, holes = state
     if k == 0:
@@ -53,9 +50,6 @@ def _moves(state, k, window):
     for occ, side in ((parts, 1), (~holes, -1)):
         from_low = k * side > 0
         low = occ & ~(occ >> a) if from_low else (occ >> a) & ~occ
-        if low.bit_length() + a > window and low:
-            raise OracleWindowError(f"a move by {k} leaves the window "
-                                    f"+-{window}")
         while low:
             l = (low & -low).bit_length() - 1
             low &= low - 1
@@ -68,9 +62,6 @@ def _moves(state, k, window):
     for p in range(a):
         q = a - 1 - p
         if (parts >> p & 1) == (holes >> q & 1) == (k < 0):
-            if max(p, q) >= window:
-                raise OracleWindowError(f"a move by {k} leaves the window "
-                                        f"+-{window}")
             odd = ((parts & ((1 << p) - 1)).bit_count() + q
                    + (holes & ((1 << q) - 1)).bit_count()) & 1
             yield ((parts ^ (1 << p), holes ^ (1 << q)), odd,
@@ -87,20 +78,20 @@ def apply_E(state, di, dj):
     """
     if di % 2 == 0 or dj % 2 == 0:
         raise ValueError("slots must be half-integers (doubled odd ints)")
-    for nstate, odd, dw in _moves(state, (di - dj) // 2, inf):
+    for nstate, odd, dw in _moves(state, (di - dj) // 2):
         if dw == dj:
             return nstate, -1 if odd else 1
     return None
 
 
-def _apply_moves(comb, k, j, window):
+def _apply_moves(comb, k, j):
     """Sum over slots w of (2w + k)^j E_{w+k, w} on a combination.
 
     Amplitudes may be ints or rationals; the coefficient is an int.
     """
     out = {}
     for state, amp in comb.items():
-        for nstate, odd, dw in _moves(state, k, window):
+        for nstate, odd, dw in _moves(state, k):
             c = (dw + k) ** j
             if c:
                 v = out.get(nstate, 0) + (-amp * c if odd else amp * c)
@@ -111,14 +102,14 @@ def _apply_moves(comb, k, j, window):
     return out
 
 
-def apply_alpha(comb, n, window):
+def apply_alpha(comb, n):
     """alpha_n = sum_w E_{w-n, w} on a combination of states."""
     if n == 0:
         raise ValueError("alpha_0 is the charge operator; not used here")
-    return _apply_moves(comb, -n, 0, window)
+    return _apply_moves(comb, -n, 0)
 
 
-def apply_insertion_coeff(comb, k, j, window):
+def apply_insertion_coeff(comb, k, j):
     """[z^j] of the energy -k insertion operator on a combination.
 
     This is sum_w (w + k/2)^j / j! * E_{w+k, w}; at k = 0 it is the tilde
@@ -126,37 +117,24 @@ def apply_insertion_coeff(comb, k, j, window):
     """
     den = 2 ** j * factorial(j)
     return {st: Q(v, den)
-            for st, v in _apply_moves(comb, k, j, window).items()}
-
-
-def default_window(mu, nu, k, r, s):
-    """Slot window comfortably containing every reachable deviation."""
-    return max(sum(mu), sum(nu), 1) + s * (abs(k) + r + 2) + 2
+            for st, v in _apply_moves(comb, k, j).items()}
 
 
 @lru_cache(maxsize=256)
 def _alpha_built_state(parts):
-    """Product of alpha_{-p} over parts, applied to the vacuum (cached).
-
-    Amplitudes are ints.  No fermion moves further than sum(parts) - 1/2
-    from zero, so a window of sum(parts) always holds the state.
-    """
+    """Product of alpha_{-p} over parts on the vacuum, in ints (cached)."""
     comb = {VACUUM: 1}
     for p in parts:
-        comb = _apply_moves(comb, p, 0, sum(parts))
+        comb = _apply_moves(comb, p, 0)
     return comb
 
 
 @lru_cache(maxsize=8)
 def _ket_state(nu, k, r, s):
-    """(2^j j!)^s Insertions^s alpha_{-nu} |vacuum>, j = r + 1, in ints.
-
-    The window is default_window's for the balanced mu, |mu| = |nu| + s k.
-    """
-    window = default_window((sum(nu) + s * k,), nu, k, r, s)
+    """(2^j j!)^s Insertions^s alpha_{-nu} |vacuum>, j = r + 1, in ints."""
     comb = _alpha_built_state(nu)
     for _ in range(s):
-        comb = _apply_moves(comb, k, r + 1, window)
+        comb = _apply_moves(comb, k, r + 1)
     return comb
 
 
@@ -168,10 +146,12 @@ def oracle_disconnected(mu, nu, k, r, s):
     the alpha-built bra; divides by prod(mu) * prod(nu) and the
     insertions' common denominator.  The bra pairing equals literally
     applying alpha_{mu_i} and reading the vacuum coefficient (alpha_n and
-    alpha_{-n} are mutually adjoint fermion moves).
+    alpha_{-n} are mutually adjoint fermion moves).  A part, k, r or s
+    that is not an int raises TypeError before any cache is touched.
     """
-    mu = tuple(sorted(mu, reverse=True))
-    nu = tuple(sorted(nu, reverse=True))
+    mu = tuple(sorted(map(index, mu), reverse=True))
+    nu = tuple(sorted(map(index, nu), reverse=True))
+    k, r, s = index(k), index(r), index(s)
     if any(p <= 0 for p in mu + nu):
         raise ValueError("partition parts must be positive")
     if r < 1 or s < 0:

@@ -381,7 +381,8 @@ def criterion_8():
 
 def criterion_9():
     """Torus-corrected values collapse to completed ones at k = +-1,
-    and on the genus-zero one-part grid."""
+    and on the genus-zero one-part grid; at the genus-one pins, where
+    the correction is nonzero, both keep their pinned values."""
     t0 = time.perf_counter()
     rng = random.Random(907)
     checked, failures = 0, []
@@ -409,6 +410,18 @@ def criterion_9():
         if raw != want:
             failures.append(f"d={d} nu={nu} k={k}: corrected {raw} "
                             f"!= completed {want}")
+    # genus one at s = 2: (corrected, completed) differ, so a dropped
+    # correction fails here
+    pins = {((5,), (1,), 2): (Q(2), Q(9, 4)), ((7,), (1,), 3): (Q(5), Q(6)),
+            ((6,), (2,), 2): (Q(5), Q(21, 4))}
+    for (mu, nu, k), (corrected, completed) in pins.items():
+        raw = cmr_leaky_r1(mu, nu, k, 2)
+        want = disconnected_hurwitz(mu, nu, k, 1, 2)
+        checked += 1
+        if (raw, want) != (corrected, completed):
+            failures.append(f"mu={mu} nu={nu} k={k} s=2: corrected {raw}, "
+                            f"completed {want}; pinned {corrected}, "
+                            f"{completed}")
     return _report(9, "torus correction consistency", t0, checked, failures)
 
 

@@ -1,7 +1,9 @@
 """Import cost: what the package and its CLI load, and the lazy exports."""
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,17 @@ def fresh(code):
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
+
+def _load_spans():
+    """perfbench/spans.py, imported by path: the names its tracer wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
 
 LOADED = ("json.dumps(sorted(m for m in sys.modules "
           "if m.split('.')[0] == 'leakyhurwitz'))")
@@ -72,3 +85,16 @@ def test_unknown_attribute_raises_attribute_error():
         leakyhurwitz.no_such_name
     assert not hasattr(leakyhurwitz, "numbers_of_things")
     assert set(EXPORTS) <= set(dir(leakyhurwitz))
+
+
+@pytest.mark.parametrize("module,attr", SPANS.FUNCTIONS,
+                         ids=[".".join(f) for f in SPANS.FUNCTIONS])
+def test_benchmark_traced_function_resolves(module, attr):
+    assert callable(getattr(getattr(leakyhurwitz, module), attr))
+
+
+@pytest.mark.parametrize("module,cls,attrs", SPANS.METHODS,
+                         ids=[".".join(m[:2]) for m in SPANS.METHODS])
+def test_benchmark_traced_methods_are_on_their_class(module, cls, attrs):
+    klass = getattr(getattr(leakyhurwitz, module), cls)
+    assert [a for a in attrs if a not in klass.__dict__] == []

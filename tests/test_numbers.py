@@ -274,7 +274,7 @@ class TestOnePart:
 
 # -- independent triple-boson route for the torus correction -------------
 
-def apply_triple_boson(comb, m, window, reach):
+def apply_triple_boson(comb, m, reach):
     """(1/6) sum over nonzero ordered (a,b,c) with a+b+c = m of the
     normal-ordered boson triple, applied to a state combination.
 
@@ -293,7 +293,7 @@ def apply_triple_boson(comb, m, window, reach):
                 continue
             cur = comb
             for n in reversed(sorted((a, b, c))):
-                cur = apply_alpha(cur, n, window)
+                cur = apply_alpha(cur, n)
                 if not cur:
                     break
             for state, amp in cur.items():
@@ -309,14 +309,13 @@ def cmr_oracle(mu, nu, k, s):
     """Torus-corrected number straight from the triple-boson operator."""
     energy = max(sum(mu), sum(nu))
     reach = energy + abs(k) + 2
-    window = 2 * (energy + s * (abs(k) + 2)) + 8
     ket = {VACUUM: Q(1)}
     for p in reversed(nu):
-        ket = apply_alpha(ket, -p, window)
+        ket = apply_alpha(ket, -p)
     for _ in range(s):
-        ket = apply_triple_boson(ket, -k, window, reach)
+        ket = apply_triple_boson(ket, -k, reach)
     for p in reversed(mu):
-        ket = apply_alpha(ket, p, window)
+        ket = apply_alpha(ket, p)
     value = ket.get(VACUUM, QZERO)
     denom = Q(1)
     for p in tuple(mu) + tuple(nu):
@@ -329,18 +328,17 @@ class TestTorusCorrection:
         # [z^2] of the generating operator = triple-boson part plus
         # (k^2-1)/24 times the plain boson, checked as operators on states
         rng = random.Random(31)
-        window = 40
         for k in (1, 2, 3, -2):
             c_k = Q(k * k - 1, 24)
             for _ in range(6):
                 parts = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
                 state = {VACUUM: Q(1)}
                 for p in parts:
-                    state = apply_alpha(state, -p, window)
-                via_insertion = apply_insertion_coeff(state, k, 2, window)
+                    state = apply_alpha(state, -p)
+                via_insertion = apply_insertion_coeff(state, k, 2)
                 via_triple = apply_triple_boson(
-                    state, -k, window, sum(parts) + abs(k) + 2)
-                corr = apply_alpha(state, -k, window)
+                    state, -k, sum(parts) + abs(k) + 2)
+                corr = apply_alpha(state, -k)
                 for st, amp in corr.items():
                     val = via_triple.get(st, QZERO) + c_k * amp
                     if val == 0:

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from leakyhurwitz.numbers import partitions_of
 from leakyhurwitz.oracle import (
     VACUUM,
-    OracleWindowError,
     _alpha_built_state,
     _ket_state,
     apply_E,
     apply_alpha,
     apply_insertion_coeff,
-    default_window,
     oracle_disconnected,
 )
 from leakyhurwitz.series import Q
@@ -117,42 +115,37 @@ class TestAlpha:
     def test_alpha_pairing_norm(self):
         # <alpha_d alpha_{-d}> = d
         for d in (1, 2, 3, 5, 8):
-            ket = apply_alpha({VACUUM: Q(1)}, -d, d + 4)
+            ket = apply_alpha({VACUUM: Q(1)}, -d)
             val = sum(v * v for v in ket.values())
             assert val == d
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            apply_alpha({VACUUM: Q(1)}, 0, 10)
+            apply_alpha({VACUUM: Q(1)}, 0)
 
-    def test_alpha_built_states_fit_a_window_of_their_size(self):
-        # the cache keys on the parts alone and builds with window |p|
+    def test_alpha_built_states_match_apply_alpha(self):
+        # the cached int build equals rational alpha_{-p} from the vacuum
         _alpha_built_state.cache_clear()
         for total in range(11):
             for p in partitions_of(total):
                 wide = {VACUUM: Q(1)}
                 for part in p:
-                    wide = apply_alpha(wide, -part, 2 * total + 4)
+                    wide = apply_alpha(wide, -part)
                 assert _alpha_built_state(p) == wide, p
-
-    def test_window_overflow_raises(self):
-        with pytest.raises(OracleWindowError):
-            apply_alpha({VACUUM: Q(1)}, -5, 2)
 
     def test_commutator_is_central(self):
         # [alpha_a, alpha_b] = a * delta_{a+b,0} on random states
         rng = random.Random(11)
-        W = 40
         for _ in range(30):
             comb = {VACUUM: Q(1)}
             for _ in range(rng.randrange(0, 4)):
-                comb = apply_alpha(comb, rng.choice([-3, -2, -1, 1, 2]), W)
+                comb = apply_alpha(comb, rng.choice([-3, -2, -1, 1, 2]))
             if not comb:
                 comb = {VACUUM: Q(1)}
             a = rng.choice([-3, -2, -1, 1, 2, 3])
             b = rng.choice([-3, -2, -1, 1, 2, 3])
-            ab = apply_alpha(apply_alpha(comb, b, W), a, W)
-            ba = apply_alpha(apply_alpha(comb, a, W), b, W)
+            ab = apply_alpha(apply_alpha(comb, b), a)
+            ba = apply_alpha(apply_alpha(comb, a), b)
             diff = comb_sub(ab, ba)
             expect = {}
             if a + b == 0:
@@ -163,8 +156,8 @@ class TestAlpha:
 class TestInsertion:
     def test_diagonal_insertion_is_energy_power(self):
         # [z^j] of the regularized zero-shift operator acts diagonally
-        ket = apply_alpha({VACUUM: Q(1)}, -3, 10)
-        out = apply_insertion_coeff(ket, 0, 2, 10)
+        ket = apply_alpha({VACUUM: Q(1)}, -3)
+        out = apply_insertion_coeff(ket, 0, 2)
         for state, v in out.items():
             p, h = slots(state)
             energy = sum(Q(x, 2) for x in p) - sum(Q(x, 2) for x in h)
@@ -173,7 +166,7 @@ class TestInsertion:
             assert v == ket[state] * en2 / 2
 
     def test_vacuum_killed_by_diagonal(self):
-        assert apply_insertion_coeff({VACUUM: Q(1)}, 0, 2, 10) == {}
+        assert apply_insertion_coeff({VACUUM: Q(1)}, 0, 2) == {}
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
@@ -182,19 +175,18 @@ class TestInsertion:
             st.integers(0, 6)))))
         k, r, s = (data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 2)),
                    data.draw(st.integers(0, 3)))
-        window = default_window((sum(nu) + s * k,), nu, k, r, s)
         comb = {VACUUM: Q(1)}
         for p in nu:
-            comb = apply_alpha(comb, -p, window)
+            comb = apply_alpha(comb, -p)
         for _ in range(s):
-            comb = apply_insertion_coeff(comb, k, r + 1, window)
+            comb = apply_insertion_coeff(comb, k, r + 1)
         den = (2 ** (r + 1) * factorial(r + 1)) ** s
         assert {state: Q(v, den)
                 for state, v in _ket_state(nu, k, r, s).items()} == comb
 
     def test_moving_insertion_shifts_energy(self):
-        ket = apply_alpha({VACUUM: Q(1)}, -2, 12)
-        out = apply_insertion_coeff(ket, -1, 2, 12)
+        ket = apply_alpha({VACUUM: Q(1)}, -2)
+        out = apply_insertion_coeff(ket, -1, 2)
         for state in out:
             p, h = slots(state)
             energy = sum(Q(x, 2) for x in p) - sum(Q(x, 2) for x in h)
@@ -238,9 +230,8 @@ class TestDisconnected:
             # apply alpha_{mu_i} to the ket literally and read the vacuum
             # coefficient, instead of pairing with the alpha-built bra
             comb = _ket_state(nu, k, r, s)
-            window = default_window(mu, nu, k, r, s)
             for p in mu:
-                comb = apply_alpha(comb, p, window)
+                comb = apply_alpha(comb, p)
             den = (2 ** (r + 1) * factorial(r + 1)) ** s
             for p in mu + nu:
                 den *= p
@@ -271,6 +262,22 @@ class TestDisconnected:
             oracle_disconnected((0,), (1,), 1, 1, 0)
 
     @pytest.mark.parametrize("r,s", [(1, -1), (0, 1), (-2, 0)])
-    def test_bad_r_or_s_rejected_before_the_window(self, r, s):
+    def test_bad_r_or_s_rejected(self, r, s):
         with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
             oracle_disconnected((1,), (1,), 0, r, s)
+
+    @pytest.mark.parametrize("mu,nu,k,r,s", [
+        ((2.0,), (1,), 1, 1, 1), ((2,), (Q(1),), 1, 1, 1),
+        ((2,), (1,), 1.0, 1, 1), ((2,), (1,), 1, 1.0, 1),
+        ((2,), (1,), 1, 1, 1.0)])
+    def test_non_integer_input_raises_type_error(self, mu, nu, k, r, s):
+        with pytest.raises(TypeError):
+            oracle_disconnected(mu, nu, k, r, s)
+
+    def test_rejected_float_r_leaves_the_ket_cache_clean(self):
+        # 1.0 hashes like 1: a float r that reached _ket_state would
+        # cache float amplitudes under the key of the valid query
+        _ket_state.cache_clear()
+        with pytest.raises(TypeError):
+            oracle_disconnected((3,), (1,), 1, 1.0, 2)
+        assert oracle_disconnected((3,), (1,), 1, 1, 2) == Q(1, 2)
