@@ -52,39 +52,30 @@ class _Parser(argparse.ArgumentParser):
 
 # -- parsing helpers -----------------------------------------------------
 
-def parse_parts(text, flag):
-    """Comma-separated positive parts; empty string is the empty profile."""
-    if text is None or text.strip() == "":
+def parse_list(text, flag, expected="a positive integer part", low=1):
+    """Comma-separated integers of at least low, by default partition
+    parts; a blank string is the empty list.  A bad token is a usage
+    error naming flag, its 1-based position and what was expected."""
+    if not text.strip():
         return ()
-    parts = []
+    out = []
     for pos, tok in enumerate(text.split(","), start=1):
         tok = tok.strip()
-        if not tok.isdecimal() or int(tok) == 0:
-            raise UsageError(
-                f"{flag}: position {pos}: expected a positive integer "
-                f"part, got {tok!r}")
-        parts.append(int(tok))
-    return tuple(parts)
+        if not tok.isdecimal() or int(tok) < low:
+            raise UsageError(f"{flag}: position {pos}: expected {expected}, "
+                             f"got {tok!r}")
+        out.append(int(tok))
+    return tuple(out)
 
 
 def parse_indices(text, flag, length, side):
     """Comma-separated 1-based part positions for a wall index set."""
-    if text is None or text.strip() == "":
-        return frozenset()
-    out = set()
-    for pos, tok in enumerate(text.split(","), start=1):
-        tok = tok.strip()
-        if not tok.isdecimal() or int(tok) == 0:
-            raise UsageError(
-                f"{flag}: position {pos}: expected a 1-based part "
-                f"position, got {tok!r}")
-        idx = int(tok)
-        if idx > length:
-            raise UsageError(
-                f"{flag}: position {pos}: part position {idx} exceeds "
-                f"the {length} {side}-parts")
-        out.add(idx - 1)
-    return frozenset(out)
+    idx = parse_list(text, flag, "a 1-based part position")
+    for pos, i in enumerate(idx, start=1):
+        if i > length:
+            raise UsageError(f"{flag}: position {pos}: part position {i} "
+                             f"exceeds the {length} {side}-parts")
+    return frozenset(i - 1 for i in idx)
 
 
 def resolve_s(args, m, n):
@@ -115,20 +106,14 @@ def resolve_s(args, m, n):
 
 
 def parse_caps(text, r, s):
-    caps = []
-    for pos, tok in enumerate(text.split(","), start=1):
-        tok = tok.strip()
-        if not tok.isdecimal():
-            raise UsageError(f"--caps: position {pos}: expected a "
-                             f"nonnegative integer, got {tok!r}")
-        caps.append(int(tok))
+    caps = parse_list(text, "--caps", "a nonnegative integer", 0)
     if len(caps) != s:
         raise UsageError(f"--caps: need one cap per insertion "
                          f"({s}), got {len(caps)}")
     if any(c < r + 1 for c in caps):
         raise UsageError(f"--caps: every cap must be >= r+1 = {r + 1} "
                          f"to keep the extracted coefficient")
-    return tuple(caps)
+    return caps
 
 
 @contextlib.contextmanager
@@ -208,8 +193,8 @@ def emit_records(records, fmt, out):
 # -- subcommands ---------------------------------------------------------
 
 def cmd_compute(args, out):
-    mu = parse_parts(args.mu, "--mu")
-    nu = parse_parts(args.nu, "--nu")
+    mu = parse_list(args.mu, "--mu")
+    nu = parse_list(args.nu, "--nu")
     s = resolve_s(args, len(mu), len(nu))
     try:
         q = make_query(mu, nu, args.k, args.r, s, args.connected)
@@ -272,8 +257,8 @@ def cmd_chamber_fit(args, out):
     from .chambers import (ChamberFitError, ChamberSampleError,
                            fit_chamber_polynomial, format_chamber_report,
                            lattice_point)
-    mu = parse_parts(args.mu, "--mu")
-    nu = parse_parts(args.nu, "--nu")
+    mu = parse_list(args.mu, "--mu")
+    nu = parse_list(args.nu, "--nu")
     if not mu or not nu:
         raise UsageError("--mu/--nu: chamber fits need nonempty profiles")
     s = resolve_s(args, len(mu), len(nu))
@@ -311,8 +296,8 @@ def cmd_chamber_fit(args, out):
 def cmd_wall_cross(args, out):
     from .chambers import (delta_of, format_wall_report, lattice_point, wall,
                            wall_crossing_genus0, wall_crossing_series)
-    mu = parse_parts(args.mu, "--mu")
-    nu = parse_parts(args.nu, "--nu")
+    mu = parse_list(args.mu, "--mu")
+    nu = parse_list(args.nu, "--nu")
     if not mu or not nu:
         raise UsageError("--mu/--nu: wall crossings need nonempty profiles")
     s = resolve_s(args, len(mu), len(nu))
@@ -359,7 +344,7 @@ def cmd_wall_cross(args, out):
 
 def cmd_cutjoin_verify(args, out):
     from .cutjoin import verify_cut_and_join
-    nu = parse_parts(args.nu, "--nu")
+    nu = parse_list(args.nu, "--nu")
     s = resolve_s(args, 0, len(nu))
     if s < 1:
         raise UsageError("--s: the evolution step needs s >= 1")
@@ -409,8 +394,8 @@ def cmd_oracle_verify(args, out):
 
 
 def cmd_tree_dump(args, out):
-    mu = parse_parts(args.mu, "--mu")
-    nu = parse_parts(args.nu, "--nu")
+    mu = parse_list(args.mu, "--mu")
+    nu = parse_list(args.nu, "--nu")
     s = resolve_s(args, len(mu), len(nu))
     caps = ((args.r + 1,) * s if args.caps is None
             else parse_caps(args.caps, args.r, s))

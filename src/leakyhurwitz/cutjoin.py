@@ -20,7 +20,7 @@ from .series import (
     sigma_series,
     unit_s_series,
 )
-from .fock import canonical_partition, check_query
+from .fock import canonical_partition
 from .numbers import (
     _splits,
     aut_factor,
@@ -55,14 +55,6 @@ def _bracket(A, B, r):
         prod = prod * sigma_series((b,), caps)
     # dividing by sigma(z) = z*S(z) shifts the exponent up by one
     return prod.coefficient((r + 2,))
-
-
-def q_weight(A, B, k, r):
-    """Transition weight between profiles, normalized by both Aut orders."""
-    A, B, k, r, _ = check_query(A, B, k, r, 0)
-    if sum(A) != sum(B) + k:
-        raise ValueError("weight needs sum(A) = sum(B) + k")
-    return _bracket(A, B, r) / (aut_factor(A) * aut_factor(B))
 
 
 def apply_Q(f, k, r):

@@ -69,23 +69,17 @@ def alpha_op(n):
     return EOp(operator.index(n), frozenset(), False)
 
 
-def insertion_op(energy, var, corrected=None):
-    """Insertion operator of the given energy in z-variable index var."""
-    if corrected is None:
-        corrected = energy == 0
-    if energy == 0 and not corrected:
-        raise ValueError("uncorrected zero-energy insertion is not a power series")
-    return EOp(operator.index(energy), frozenset((var,)), corrected)
+def insertion_op(energy, var):
+    """Insertion operator of the given energy in z-variable index var;
+    at energy zero it is the corrected variant."""
+    energy = operator.index(energy)
+    return EOp(energy, frozenset((var,)), energy == 0)
 
 
 # A dict, not lru_cache, so _vev's early exits are not stored.  The
 # benchmark's sweep pass leaves 17,998 entries (30,638 keyed by name).
 _MEMO = {}
 _zero = lru_cache(maxsize=256)(TruncSeries.zero)
-
-
-def clear_memo():
-    _MEMO.clear()
 
 
 def _edge_form(a, avars, b, bvars, nvars):

@@ -109,8 +109,10 @@ def connected_cached(mu, nu, k, r, s):
 
 # -- disconnected assembly ----------------------------------------------
 
+@lru_cache(maxsize=4096)
 def _splits(parts):
-    """Every way to split a descending tuple in two, as (taken, rest, ways).
+    """Every way to split a descending tuple in two, as a tuple of
+    (taken, rest, ways); memoized, so parts must be a tuple.
 
     Both halves stay descending; ways is the number of distinct choices
     of labeled positions that take exactly taken.  The take counts of
@@ -118,18 +120,15 @@ def _splits(parts):
     split takes nothing, the last takes every part.
     """
     runs = [(p, len(list(g))) for p, g in itertools.groupby(parts)]
+    out = []
     for take in itertools.product(*(range(c + 1) for _, c in runs)):
         taken, rest, ways = [], [], 1
         for (p, c), t in zip(runs, take):
             taken += [p] * t
             rest += [p] * (c - t)
             ways *= math.comb(c, t)
-        yield tuple(taken), tuple(rest), ways
-
-
-@lru_cache(maxsize=4096)
-def _split_list(parts):
-    return tuple(_splits(parts))
+        out.append((tuple(taken), tuple(rest), ways))
+    return tuple(out)
 
 
 def disconnected_hurwitz(mu, nu, k, r, s):
@@ -160,11 +159,11 @@ def _assembly(mu, nu, k, r, s):
     anchor_nu, pool_nu = nu[:cut], nu[cut:]
     # a block with j insertions balances when |block_nu| = |block_mu| - j*k
     nu_by_size = {}
-    for taken, rest, ways in _split_list(pool_nu):
+    for taken, rest, ways in _splits(pool_nu):
         block = anchor_nu + taken
         nu_by_size.setdefault(sum(block), []).append((block, rest, ways))
     total = Q(0)
-    for sub_mu, rest_mu, ways_mu in _split_list(pool_mu):
+    for sub_mu, rest_mu, ways_mu in _splits(pool_mu):
         block_mu = anchor_mu + sub_mu
         size_mu = sum(block_mu)
         for j in range(s + 1):
@@ -248,9 +247,10 @@ class HurwitzCache:
     numerator and denominator.  Lookups also try the swapped query
     (nu, mu, -k), which has the same value.  Loaded keys pass the same
     check_query as a query's.  A line that does not decode to a full
-    record, such as the tail of an append cut short, or that fails that
-    check, such as a part that is not a positive integer or r = 0, is
-    skipped and counted in skipped.  A directory, or a path in a
+    record, such as the tail of an append cut short, that fails that
+    check, such as a part that is not a positive integer or r = 0, or
+    whose connected is not a bool or whose num or den is not a string,
+    is skipped and counted in skipped.  A directory, or a path in a
     directory that does not exist, raises OSError here.  The file is
     opened for appending once, at the first store, so a cache that only
     serves lookups needs no write access and is not created.
@@ -280,14 +280,16 @@ class HurwitzCache:
                     continue
                 try:
                     rec = json.loads(line)
+                    connected, num, den = (rec["connected"], rec["num"],
+                                           rec["den"])
+                    if not (isinstance(connected, bool)
+                            and isinstance(num, str) and isinstance(den, str)):
+                        raise TypeError("mistyped cache record")
                     key = (*check_query(rec["mu"], rec["nu"], rec["k"],
-                                        rec["r"], rec["s"]),
-                           rec["connected"])
-                    value = Q(int(rec["num"]), int(rec["den"]))
+                                        rec["r"], rec["s"]), connected)
+                    self._mem[key] = Q(int(num), int(den))
                 except (ValueError, KeyError, TypeError, ZeroDivisionError):
                     self.skipped += 1
-                    continue
-                self._mem[key] = value
 
     def close(self):
         if self._fh is not None:

@@ -68,22 +68,6 @@ def _moves(state, k):
                    2 * p + 1 if k < 0 else -2 * q - 1)
 
 
-def apply_E(state, di, dj):
-    """E_{i,j} on a basis state, slots given doubled.
-
-    Returns (state', sign) moving a fermion from slot j to slot i, or
-    None when the move annihilates the state.  For i == j this is the
-    normally ordered diagonal action: +1 on an occupied positive slot,
-    -1 on an empty negative slot, 0 otherwise (so the vacuum is killed).
-    """
-    if di % 2 == 0 or dj % 2 == 0:
-        raise ValueError("slots must be half-integers (doubled odd ints)")
-    for nstate, odd, dw in _moves(state, (di - dj) // 2):
-        if dw == dj:
-            return nstate, -1 if odd else 1
-    return None
-
-
 def _apply_moves(comb, k, j):
     """Sum over slots w of (2w + k)^j E_{w+k, w} on a combination.
 

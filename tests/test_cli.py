@@ -90,6 +90,11 @@ class TestCompute:
         assert code == 2
         assert "--caps" in capsys.readouterr().err
 
+    def test_blank_caps_is_an_empty_list(self, capsys):
+        assert main(["compute", *ONE_PART, "--connected", "--caps", ""]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --caps: need one cap per insertion (2), got 0\n")
+
     def test_cache_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "cache.jsonl")
         assert main(["compute", *ONE_PART, "--connected",

@@ -1,48 +1,41 @@
-"""Cut-and-join operator: weights, application, and the PDE identity."""
+"""Cut-and-join operator: brackets, application, and the PDE identity."""
 import pytest
 
 from leakyhurwitz.cutjoin import (
+    _bracket,
     apply_Q,
     generating_slice,
     partitions_of,
-    q_weight,
     verify_cut_and_join,
 )
 from leakyhurwitz.series import Q
 
 
 class TestQWeight:
+    """The transition bracket before the 1/(|Aut A| |Aut B|) weighting."""
+
     def test_join_weight(self):
-        assert q_weight((2,), (1, 1), 0, 1) == 1
+        assert _bracket((2,), (1, 1), 1) == 2
 
     def test_cut_weight(self):
-        assert q_weight((1, 1), (2,), 0, 1) == 1
+        assert _bracket((1, 1), (2,), 1) == 2
 
     def test_absorbing_weight(self):
-        assert q_weight((1,), (1, 1), -1, 1) == Q(1, 2)
+        assert _bracket((1,), (1, 1), 1) == 1
 
     def test_pure_creation_weight(self):
-        assert q_weight((2,), (), 2, 1) == Q(1, 4)
+        assert _bracket((2,), (), 1) == Q(1, 4)
 
     def test_parity_vanishing(self):
-        assert q_weight((1, 1), (1,), 1, 2) == 0
-        assert q_weight((1,), (1,), 0, 1) == 0
+        assert _bracket((1, 1), (1,), 2) == 0
+        assert _bracket((1,), (1,), 1) == 0
 
     def test_higher_completion(self):
-        assert q_weight((3,), (1,), 2, 2) == Q(9, 8)
-
-    def test_imbalance_rejected(self):
-        with pytest.raises(ValueError):
-            q_weight((1,), (1, 1), 1, 1)
+        assert _bracket((3,), (1,), 2) == Q(9, 8)
 
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
-            q_weight((), (), 0, 1)
-
-    @pytest.mark.parametrize("r,k", [(0, 1), (-1, 1)])
-    def test_bad_r_rejected(self, r, k):
-        with pytest.raises(ValueError, match="need r >= 1"):
-            q_weight((2,), (1,), k, r)
+            _bracket((), (), 1)
 
 
 class TestPartitionsOf:

@@ -565,6 +565,9 @@ class TestCache:
         pytest.param({"r": 1.5}, id="r1.5"),
         pytest.param({"s": -1}, id="s-1"),
         pytest.param({"k": 1.5}, id="k1.5"),
+        pytest.param({"connected": [False]}, id="connected-list"),
+        pytest.param({"num": 2.7}, id="num-float"),
+        pytest.param({"den": True}, id="den-bool"),
     ])
     def test_record_with_a_bad_part_is_skipped(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"

@@ -10,7 +10,7 @@ from leakyhurwitz.oracle import (
     VACUUM,
     _alpha_built_state,
     _ket_state,
-    apply_E,
+    _moves,
     apply_alpha,
     apply_insertion_coeff,
     oracle_disconnected,
@@ -59,56 +59,57 @@ def comb_sub(a, b):
     return out
 
 
+def moves(state, k):
+    """The moves of _moves(state, k) as {doubled source: (state', sign)}."""
+    return {dw: (nstate, -1 if odd else 1)
+            for nstate, odd, dw in _moves(state, k)}
+
+
 class TestApplyE:
+    """The fermion moves E_{w+k, w} that _moves yields."""
+
     def test_vacuum_annihilated_by_diagonal(self):
-        assert apply_E(VACUUM, 1, 1) is None
-        assert apply_E(VACUUM, -1, -1) is None
+        assert moves(VACUUM, 0) == {}
 
     def test_diagonal_signs(self):
         state = basis({1}, {-1})
-        assert apply_E(state, 1, 1) == (state, 1)
-        assert apply_E(state, -1, -1) == (state, -1)
-        assert apply_E(state, 3, 3) is None
-        assert apply_E(state, -3, -3) is None
+        assert moves(state, 0) == {1: (state, 1), -1: (state, -1)}
 
     def test_simple_move(self):
-        state, sign = apply_E(VACUUM, 1, -1)
-        assert state == basis({1}, {-1})
-        assert sign == 1
+        assert moves(VACUUM, 1) == {-1: (basis({1}, {-1}), 1)}
 
     def test_move_crossing_one_occupied_slot(self):
         # moving -3/2 up to 3/2 passes the occupied slot -1/2
-        state, sign = apply_E(VACUUM, 3, -3)
-        assert state == basis({3}, {-3})
-        assert sign == -1
+        assert moves(VACUUM, 3)[-3] == (basis({3}, {-3}), -1)
 
     def test_move_crossing_empty_slot(self):
         # moving -1/2 up to 3/2 passes only the empty slot 1/2
-        state, sign = apply_E(VACUUM, 3, -1)
-        assert state == basis({3}, {-1})
-        assert sign == 1
+        assert moves(VACUUM, 2)[-1] == (basis({3}, {-1}), 1)
 
     def test_pauli_blocking(self):
         state = basis({1}, {-1})
-        assert apply_E(state, 1, 3) is None  # source empty
-        assert apply_E(state, 1, -3) is None  # target full
-
-    def test_even_slot_rejected(self):
-        with pytest.raises(ValueError):
-            apply_E(VACUUM, 2, 1)
+        assert 3 not in moves(state, -1)  # source empty
+        assert -3 not in moves(state, 2)  # target full
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.sets(st.integers(0, 9)), st.sets(st.integers(0, 9)),
-           st.integers(-10, 9), st.integers(-10, 9))
-    def test_matches_a_count_over_explicit_slots(self, pbits, hbits, i, j):
+           st.integers(-12, 12))
+    def test_matches_a_count_over_explicit_slots(self, pbits, hbits, k):
+        # the whole move set: a source beyond +-(2|k| + 21) and its target
+        # lie past every slot the masks touch, so both are filled or both
+        # are empty and no move starts there
         particles = {2 * t + 1 for t in pbits}
         holes = {-2 * t - 1 for t in hbits}
-        got = apply_E(basis(particles, holes), 2 * i + 1, 2 * j + 1)
-        want = brute_E(particles, holes, 2 * i + 1, 2 * j + 1)
-        if want is None:
-            assert got is None
-        else:
-            assert (slots(got[0]), got[1]) == want
+        edge = 2 * abs(k) + 21
+        want = {}
+        for dj in range(-edge, edge + 1, 2):
+            move = brute_E(particles, holes, dj + 2 * k, dj)
+            if move is not None:
+                want[dj] = move
+        got = list(_moves(basis(particles, holes), k))
+        assert len(got) == len(want)
+        assert {dw: (slots(nstate), -1 if odd else 1)
+                for nstate, odd, dw in got} == want
 
 
 class TestAlpha:
