@@ -25,6 +25,7 @@ from .fock import (
 from .numbers import (
     HurwitzCache,
     HurwitzResult,
+    _fock_cheaper,
     bounded_profiles,
     evaluate,
     genus_of,
@@ -248,7 +249,14 @@ def cmd_table(args, out):
                for mu, nu, k in balanced_triples(
                    profiles, range(args.k_min, args.k_max + 1), s)]
     with open_cache(args) as cache:
-        records = [number_record(evaluate(q, cache)) for q in queries]
+        # without a cache file, an in-memory one serves each row whose dual
+        # (nu, mu, -k) came earlier; that row still names its own route
+        run = HurwitzCache() if cache is None else cache
+        records = [number_record(evaluate(q, run)) for q in queries]
+    if cache is None:
+        for rec, q in zip(records, queries):
+            if rec["method"] == "cache":
+                rec["method"] = "fock" if _fock_cheaper(q) else "engine"
     emit_records(records, args.format, out)
     return 0
 

@@ -51,11 +51,12 @@ def partition_count(n):
     if n < 0:
         return 0
     while len(_P) <= n:
-        m = len(_P)
-        _P.append(sum(_P[m - g] if j & 1 else -_P[m - g]
-                      for j in range(1, math.isqrt(m) + 2)
-                      for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
-                      if g <= m))
+        m, total, j = len(_P), 0, 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            term = _P[m - g] + (_P[m - g - j] if g + j <= m else 0)
+            total += term if j & 1 else -term
+            j += 1
+        _P.append(total)
     return _P[n]
 
 
@@ -320,9 +321,6 @@ class HurwitzCache:
                            + (json.dumps(rec, sort_keys=True) + "\n").encode())
             self._fh.flush()
             self._sep = b""
-
-    def __len__(self):
-        return len(self._mem)
 
 
 # cold, an oracle state costs about a fifth of an engine term; memos warm

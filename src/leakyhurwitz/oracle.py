@@ -15,6 +15,12 @@ states are dicts mapping states to amplitudes.  The public operators
 keep exact rationals; the cached kets and bras keep Python ints, with
 each insertion scaled by 2^j j!, and ``oracle_disconnected`` divides by
 the one common denominator at the end.
+
+A sweep or a table meets states again: ``_apply_moves`` marks a state in
+the move memo ``_MOVES`` (a dict per (k, j)) at its first visit and keeps
+its nonzero signed moves from its second, so a cold query keeps none.  It
+holds at most ``_MOVE_CAP`` states, all dropped when that would be passed;
+``sum(map(len, _MOVES.values()))`` reads its size.
 """
 from __future__ import annotations
 
@@ -68,21 +74,44 @@ def _moves(state, k):
                    2 * p + 1 if k < 0 else -2 * q - 1)
 
 
+_MOVE_CAP = 32768
+_MOVES = {}
+
+
 def _apply_moves(comb, k, j):
     """Sum over slots w of (2w + k)^j E_{w+k, w} on a combination.
 
     Amplitudes may be ints or rationals; the coefficient is an int.
     """
+    if len(comb) > _MOVE_CAP - sum(map(len, _MOVES.values())):
+        _MOVES.clear()
+    memo = _MOVES.setdefault((k, j), {}) if len(comb) <= _MOVE_CAP else {}
     out = {}
     for state, amp in comb.items():
-        for nstate, odd, dw in _moves(state, k):
-            c = (dw + k) ** j
-            if c:
-                v = out.get(nstate, 0) + (-amp * c if odd else amp * c)
-                if v:
-                    out[nstate] = v
-                else:
-                    out.pop(nstate, None)
+        pairs = memo.get(state)
+        if pairs is None:
+            # first visit: mark only, and apply the moves as _moves yields
+            # them; a pair per move costs a cold query a fifth of its time
+            memo[state] = False
+            for nstate, odd, dw in _moves(state, k):
+                c = (dw + k) ** j
+                if c:
+                    v = out.get(nstate, 0) + (-amp * c if odd else amp * c)
+                    if v:
+                        out[nstate] = v
+                    else:
+                        out.pop(nstate, None)
+            continue
+        if pairs is False:
+            pairs = memo[state] = [
+                (nstate, -c if odd else c) for nstate, odd, dw
+                in _moves(state, k) if (c := (dw + k) ** j)]
+        for nstate, c in pairs:
+            v = out.get(nstate, 0) + amp * c
+            if v:
+                out[nstate] = v
+            else:
+                out.pop(nstate, None)
     return out
 
 
@@ -148,9 +177,4 @@ def oracle_disconnected(mu, nu, k, r, s):
         den *= p
     bra = _alpha_built_state(mu)
     small, big = (bra, ket) if len(bra) <= len(ket) else (ket, bra)
-    val = 0
-    for state, amp in small.items():
-        other = big.get(state)
-        if other is not None:
-            val += amp * other
-    return Q(val, den)
+    return Q(sum(amp * big.get(state, 0) for state, amp in small.items()), den)

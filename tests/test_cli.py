@@ -11,8 +11,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leakyhurwitz import numbers
 from leakyhurwitz.cli import balanced_triples, main
-from leakyhurwitz.numbers import bounded_profiles
+from leakyhurwitz.numbers import bounded_profiles, evaluate, make_query
 
 ONE_PART = ["--mu", "5", "--nu", "1,1,1", "--k", "1", "--r", "1", "--s", "2"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -180,6 +181,35 @@ class TestTable:
         assert strip_ms(capsys.readouterr().out) == first
         assert first == (GOLDEN / "table_grid.json").read_text(
             encoding="utf-8")
+
+    def test_without_a_cache_a_dual_row_reuses_its_value(
+            self, capsys, monkeypatch):
+        # one route call per row whose dual (nu, mu, -k) did not come
+        # earlier; a reused row still names its own route
+        monkeypatch.delenv("LEAKYHURWITZ_CACHE", raising=False)
+        calls = []
+        for name in ("oracle_disconnected", "disconnected_hurwitz"):
+            route = getattr(numbers, name)
+            monkeypatch.setattr(numbers, name, lambda *q, route=route: (
+                calls.append(q), route(*q))[1])
+        assert main(["table", "--max-part", "3", "--max-len", "2",
+                     "--k-min", "-2", "--k-max", "2", "--r", "1", "--s", "2",
+                     "--format", "json"]) == 0
+        routed = len(calls)
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        seen, fresh = set(), 0
+        for row in rows:
+            q = make_query(row["mu"], row["nu"], row["k"], 1, 2, False)
+            fresh += (q.nu, q.mu, -q.k) not in seen
+            seen.add((q.mu, q.nu, q.k))
+            assert row["method"] == ("fock" if numbers._fock_cheaper(q)
+                                     else "engine")
+            value = evaluate(q).value
+            assert (row["num"], row["den"]) == (str(value.numerator),
+                                                str(value.denominator))
+        assert {row["method"] for row in rows} == {"fock", "engine"}
+        assert routed == fresh < len(rows)
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
     def test_balanced_triples_match_the_full_scan(self, s):

@@ -541,7 +541,7 @@ class TestCache:
 
         torn = HurwitzCache(str(path))
         assert torn.skipped == 1
-        assert len(torn) == 2
+        assert len(torn._mem) == 2
         assert [torn.lookup(q) for q in queries] == values[:2] + [None]
 
         assert evaluate(queries[2], torn).method == "engine"
@@ -576,7 +576,7 @@ class TestCache:
         path.write_text(json.dumps({**rec, **bad}) + "\n")
         cache = HurwitzCache(str(path))
         assert cache.skipped == 1
-        assert len(cache) == 0
+        assert cache.lookup(make_query((3,), (3,), 0, 1, 1)) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
@@ -610,7 +610,7 @@ class TestCache:
                     fh.write(json.dumps(rec) + "\n")
             reloaded = HurwitzCache(path)
         assert reloaded.skipped == 0
-        assert len(reloaded) == len(queries)
+        assert len(reloaded._mem) == len(queries)
         for q, value in zip(queries, values):
             dual = make_query(q.nu, q.mu, -q.k, q.r, q.s, q.connected)
             assert reloaded.lookup(q) == value

@@ -5,10 +5,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leakyhurwitz.numbers import partitions_of
+from leakyhurwitz import oracle
+from leakyhurwitz.numbers import partition_count, partitions_of
 from leakyhurwitz.oracle import (
     VACUUM,
     _alpha_built_state,
+    _apply_moves,
     _ket_state,
     _moves,
     apply_alpha,
@@ -110,6 +112,101 @@ class TestApplyE:
         assert len(got) == len(want)
         assert {dw: (slots(nstate), -1 if odd else 1)
                 for nstate, odd, dw in got} == want
+
+
+def reference_moves(comb, k, j):
+    """Sum over source slots of (2w + k)^j E_{w+k, w}, from brute_E."""
+    out = {}
+    for state, amp in comb.items():
+        particles, holes = slots(state)
+        edge = 2 * abs(k) + 2 * max(state[0].bit_length(),
+                                    state[1].bit_length()) + 3
+        for dj in range(-edge, edge + 1, 2):
+            move = brute_E(particles, holes, dj + 2 * k, dj)
+            if move is not None:
+                nstate = basis(*move[0])
+                out[nstate] = (out.get(nstate, 0)
+                               + move[1] * amp * (dj + k) ** j)
+    return {st: v for st, v in out.items() if v}
+
+
+def memo_size():
+    return sum(map(len, oracle._MOVES.values()))
+
+
+def clear_oracle_caches():
+    oracle._MOVES.clear()
+    _ket_state.cache_clear()
+    _alpha_built_state.cache_clear()
+
+
+class TestMoveMemo:
+    """_apply_moves marks a state at its first visit, stores its signed
+    moves at its second and reads them from its third."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                           st.integers(-9, 9).filter(bool), min_size=1,
+                           max_size=6),
+           st.integers(-6, 6), st.integers(0, 3))
+    def test_marked_stored_and_read_paths_match_explicit_slots(
+            self, comb, k, j):
+        oracle._MOVES.clear()
+        want = reference_moves(comb, k, j)
+        assert _apply_moves(comb, k, j) == want
+        assert all(oracle._MOVES[k, j][state] is False for state in comb)
+        assert _apply_moves(comb, k, j) == want
+        assert all(isinstance(oracle._MOVES[k, j][state], list)
+                   for state in comb)
+        assert _apply_moves(comb, k, j) == want
+
+    @pytest.mark.parametrize("k,j", [(1, 1), (1, 3), (-1, 1), (-1, 2)])
+    def test_state_with_only_zero_coefficients(self, k, j):
+        # the one move of lone crosses zero with dw + k = 0, so it is
+        # stored as an empty list and adds nothing on any path
+        oracle._MOVES.clear()
+        lone = VACUUM if k > 0 else basis({1}, {-1})
+        assert [dw + k for _, _, dw in _moves(lone, k)] == [0]
+        other = basis({3}, {-1})
+        comb = {lone: 2, other: -3}
+        want = reference_moves({other: -3}, k, j)
+        assert want and reference_moves(comb, k, j) == want
+        for _ in range(3):
+            assert _apply_moves(comb, k, j) == want
+        assert oracle._MOVES[k, j][lone] == []
+
+    def test_cold_query_keeps_no_moves(self):
+        # a query and then its dual: their insertions run under different
+        # (k, j), and the alpha-built states come from their own cache
+        clear_oracle_caches()
+        assert oracle_disconnected((8, 6, 4), (6, 5, 3), 1, 1, 4) == (
+            oracle_disconnected((6, 5, 3), (8, 6, 4), -1, 1, 4))
+        assert memo_size() > 0
+        assert all(v is False for memo in oracle._MOVES.values()
+                   for v in memo.values())
+
+    def test_memo_stays_under_its_cap(self, monkeypatch):
+        queries = [(mu, nu, k, 1, 2) for mu in partitions_of(5)
+                   for k in (-1, 0, 1) for nu in partitions_of(5 - 2 * k)]
+        clear_oracle_caches()
+        want = [oracle_disconnected(*q) for q in queries]
+        assert memo_size() <= oracle._MOVE_CAP
+        monkeypatch.setattr(oracle, "_MOVE_CAP", 60)
+        clear_oracle_caches()
+        got, sizes = [], []
+        for q in queries:
+            _ket_state.cache_clear()
+            _alpha_built_state.cache_clear()
+            got.append(oracle_disconnected(*q))
+            sizes.append(memo_size())
+        assert got == want
+        assert max(sizes) <= 60
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        # a combination larger than the cap leaves the memo empty
+        big = _alpha_built_state((1,) * 12)
+        assert len(big) == partition_count(12) == 77
+        _apply_moves(big, 1, 2)
+        assert memo_size() == 0
 
 
 class TestAlpha:
