@@ -7,7 +7,7 @@ partition A with sum(A) = sum(B) + k.  The transition bracket is the
 z^(r+1) coefficient of prod sigma(a z) prod sigma(b z) / sigma(z);
 creation parts carry weight 1/(|Aut A| prod(A)) and deletions count
 multiset selections.  verify_cut_and_join checks one evolution step
-coefficient-by-coefficient against directly computed numbers.
+coefficient-by-coefficient against slices read from the Fock oracle.
 """
 from __future__ import annotations
 
@@ -20,13 +20,9 @@ from .series import (
     sigma_series,
     unit_s_series,
 )
-from .fock import canonical_partition
-from .numbers import (
-    _splits,
-    aut_factor,
-    disconnected_hurwitz,
-    partitions_of,
-)
+from .fock import check_query
+from .numbers import _splits, aut_factor, partitions_of
+from .oracle import oracle_disconnected
 
 
 @lru_cache(maxsize=8)
@@ -93,14 +89,18 @@ def apply_Q(f, k, r):
 def generating_slice(nu, k, r, t):
     """Coefficient dict of the disconnected series at t insertions:
     profile mu -> disconnected(mu, nu) / |Aut mu|, over all balanced mu
-    (the empty profile included when its size is zero)."""
-    nu = canonical_partition(nu)
+    (the empty profile included when its size is zero).
+
+    The numbers come from the Fock oracle, which shares no code with
+    the brackets: one cached ket for (nu, k, r, t), paired with each
+    mu's alpha-built bra."""
+    _, nu, k, r, t = check_query((), nu, k, r, t)
     total = sum(nu) + t * k
     out = {}
     if total < 0:
         return out
     for mu in partitions_of(total):
-        val = disconnected_hurwitz(mu, nu, k, r, t)
+        val = oracle_disconnected(mu, nu, k, r, t)
         if val != 0:
             out[mu] = val / aut_factor(mu)
     return out

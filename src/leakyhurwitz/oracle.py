@@ -1,11 +1,12 @@
 """Brute-force correlator evaluation in the charge-zero fermion Fock space.
 
 This module is an independent cross-check for the commutation engine and
-deliberately shares no code with it.  A state of the semi-infinite wedge
-is stored as its deviation from the vacuum, in two int bitmasks: bit t of
-the particle mask is set when slot t + 1/2 is occupied, and bit t of the
-hole mask when slot -(t + 1/2) is empty.  Slots passed in or out are
-doubled, so slot w is the odd integer 2w.
+deliberately shares no code with it; it also gives the cut-and-join check
+its generating slices.  A state of the semi-infinite wedge is stored as
+its deviation from the vacuum, in two int bitmasks: bit t of the particle
+mask is set when slot t + 1/2 is occupied, and bit t of the hole mask
+when slot -(t + 1/2) is empty.  Slots passed in or out are doubled, so
+slot w is the odd integer 2w.
 
 Operators act by explicit fermion moves E_{i,j} (move a fermion from
 slot j to slot i).  The wedge sign is the parity of the occupied slots

@@ -78,9 +78,6 @@ class _Terms(Mapping):
             raise KeyError(exps)
         return c
 
-    def __repr__(self):
-        return repr(dict(self.items()))
-
 
 class TruncSeries:
     """Sparse exact series with an independent degree cap per variable.
@@ -88,9 +85,9 @@ class TruncSeries:
     Monomials are stored packed into ints (see _layout) and coefficients
     as nonzero int numerators over one positive denominator.  Every
     result is reduced so that no prime divides the denominator and all
-    numerators at once; equal series are then equal field by field, and
-    multiplication never touches a Fraction.  The terms property shows
-    the same data as a Mapping from exponent tuples to Fractions.
+    numerators at once, and multiplication never touches a Fraction.
+    The terms property shows the same data as a Mapping from exponent
+    tuples to Fractions; series define no ==, so compare caps and terms.
     Instances are treated as immutable: no method mutates an existing
     instance, which keeps concurrent readers safe and lets a sum or
     product with a zero operand return an operand itself.
@@ -177,19 +174,6 @@ class TruncSeries:
         self._check_exps(exps)
         n = self._num.get(_pack(self._lay, exps))
         return QZERO if n is None else Q(n, self._den)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.caps == other.caps
-                and self._den == other._den and self._num == other._num)
-
-    def __repr__(self):
-        if not self._num:
-            return f"TruncSeries(caps={self.caps}, 0)"
-        terms = self.terms
-        bits = []
-        for e in sorted(terms, key=lambda t: (sum(t), t)):
-            bits.append(f"{terms[e]}*z^{e}")
-        return f"TruncSeries(caps={self.caps}, " + " + ".join(bits) + ")"
 
     # -- arithmetic ---------------------------------------------------
 

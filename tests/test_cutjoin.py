@@ -1,6 +1,7 @@
 """Cut-and-join operator: brackets, application, and the PDE identity."""
 import pytest
 
+from leakyhurwitz import fock, numbers
 from leakyhurwitz.cutjoin import (
     _bracket,
     apply_Q,
@@ -8,6 +9,7 @@ from leakyhurwitz.cutjoin import (
     partitions_of,
     verify_cut_and_join,
 )
+from leakyhurwitz.numbers import aut_factor, disconnected_hurwitz
 from leakyhurwitz.series import Q
 
 
@@ -126,3 +128,38 @@ class TestGeneratingSlice:
 
     def test_negative_total_is_empty(self):
         assert generating_slice((2,), -3, 1, 1) == {}
+
+    # both slices are empty here, so only the input check can object
+    @pytest.mark.parametrize("k,r,exc", [
+        (-3, 0, ValueError),
+        (-3, -5, ValueError),
+        (-3, 1.5, TypeError),
+        (-3.0, 1, TypeError),
+    ])
+    def test_bad_r_or_k_is_rejected(self, k, r, exc):
+        with pytest.raises(exc):
+            verify_cut_and_join((1,), k, r, 2)
+
+    # criterion 7 reaches |mu| = 9 here, past criterion 3's |mu| <= 8
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("nu", partitions_of(5))
+    def test_slices_match_the_engine(self, nu, r):
+        want = {}
+        for mu in partitions_of(9):
+            val = disconnected_hurwitz(mu, nu, 2, r, 2)
+            if val != 0:
+                want[mu] = val / aut_factor(mu)
+        assert want
+        assert generating_slice(nu, 2, r, 2) == want
+
+    def test_slices_do_not_touch_the_engine(self):
+        saved = dict(fock._MEMO)
+        fock._MEMO.clear()
+        numbers._assembly.cache_clear()
+        numbers.connected_cached.cache_clear()
+        try:
+            assert verify_cut_and_join((2, 1), 1, 2, 2)["ok"]
+            assert numbers.connected_cached.cache_info().misses == 0
+            assert not fock._MEMO
+        finally:
+            fock._MEMO.update(saved)
