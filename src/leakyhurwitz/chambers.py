@@ -306,15 +306,17 @@ def fit_chamber_polynomial(base, r, s, rng=None):
 
 # -- wall crossing -----------------------------------------------------
 
-def _check_wall(w, m, n):
-    """Reject a wall outside the arrangement of m mu-parts and n nu-parts:
-    an index out of range, or the degenerate (empty, empty) or (full,
-    full) pair that all_walls leaves out."""
+def _check_wall(w, m, n, s):
+    """Reject a wall outside the arrangement of m mu-parts, n nu-parts
+    and s insertions: an index or a t out of range, or the degenerate
+    (empty, empty) or (full, full) pair that all_walls leaves out."""
     full_I, full_J = frozenset(range(m)), frozenset(range(n))
     name = f"wall I={sorted(w.I)} J={sorted(w.J)} t={w.t}"
     if not (w.I <= full_I and w.J <= full_J):
         raise ValueError(f"{name} indexes outside {m} mu-parts and "
                          f"{n} nu-parts")
+    if not 0 <= w.t <= s:
+        raise ValueError(f"{name} has t outside 0..{s}")
     if (not w.I and not w.J) or (w.I == full_I and w.J == full_J):
         raise ValueError(f"{name} is degenerate: it pairs empty with "
                          f"empty or full with full")
@@ -350,7 +352,7 @@ def wall_crossing_series(w, point, r, s):
     m, n = len(point.mu), len(point.nu)
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point violates the energy balance")
-    _check_wall(w, m, n)
+    _check_wall(w, m, n, s)
     if not (w.I and w.J) or w.I >= frozenset(range(m)) \
             or w.J >= frozenset(range(n)):
         raise ValueError("wall needs nonempty proper index sets")
@@ -369,9 +371,8 @@ def wall_crossing_series(w, point, r, s):
     full_ratio = sigma_over_sigma(delta, 1, allvars, caps)
     total = TruncSeries.zero(caps)
     if k != 0:
-        # balance of the two factors forces exactly t insertions left;
-        # an impossible t (t > s or t < 0) leaves an empty sum
-        sizes = (w.t,) if 0 <= w.t <= s else ()
+        # balance of the two factors forces exactly t insertions left
+        sizes = (w.t,)
     else:
         # with no leaking every split is balanced and the t-label is
         # degenerate (all t cut out the same hyperplane)
@@ -399,7 +400,7 @@ def wall_crossing_genus0(w, point):
     s = m + n - 2
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point is not genus-zero balanced")
-    _check_wall(w, m, n)
+    _check_wall(w, m, n, s)
     delta = delta_of(w, point)
     if delta == 0:
         return Q(0)

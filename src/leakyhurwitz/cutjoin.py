@@ -32,23 +32,22 @@ def _inverse_sigma(caps):
 
 
 @lru_cache(maxsize=4096)
-def _bracket(A, B, r):
-    """[z^(r+1)] (1/sigma(z)) prod sigma(a z) prod sigma(b z).
+def _bracket(parts, r):
+    """[z^(r+1)] (1/sigma(z)) prod sigma(p z) over the parts of A + B.
 
-    Zero whenever r and |A|+|B| have different parities (the product is
-    an even or odd series times z^(|A|+|B|-1)).  Memoized, so A and B
-    must be tuples.
+    The value depends only on the multiset of created and deleted
+    parts, so callers pass it as one sorted tuple and share a memo
+    entry.  Zero whenever r and the part count have different parities
+    (the product is an even or odd series times z^(len(parts)-1)).
     """
-    if not A and not B:
+    if not parts:
         raise ValueError("need at least one part in A or B")
-    if (len(A) + len(B)) % 2 != r % 2:
+    if len(parts) % 2 != r % 2:
         return Q(0)
     caps = (r + 2,)
     prod = _inverse_sigma(caps)
-    for a in A:
-        prod = prod * sigma_series((a,), caps)
-    for b in B:
-        prod = prod * sigma_series((b,), caps)
+    for p in parts:
+        prod = prod * sigma_series((p,), caps)
     # dividing by sigma(z) = z*S(z) shifts the exponent up by one
     return prod.coefficient((r + 2,))
 
@@ -73,7 +72,7 @@ def apply_Q(f, k, r):
             for A in partitions_of(target):
                 if not A and not B:
                     continue
-                br = _bracket(A, B, r)
+                br = _bracket(tuple(sorted(A + B)), r)
                 if br == 0:
                     continue
                 new_prof = tuple(sorted(rest + A, reverse=True))

@@ -15,11 +15,11 @@ keeps it only when the pair is the whole sequence.  The recursion is
 memoized globally on (sequence, caps, connected) with the z-variables
 renamed in order of first appearance, so all labellings share one entry.
 
-Operator labels are (energy, zvars, corrected) triples: bosons alpha_n
-carry no z-variables; an insertion in variable i carries zvars={i}.
-Zero-energy labels must be the corrected variant (vacuum expectation
-zero); the uncorrected zero-energy operator has a Laurent tail 1/sigma(z)
-that a truncated power series cannot hold.
+Operator labels are (energy, zvars) pairs: bosons alpha_n carry no
+z-variables; an insertion in variable i carries zvars={i}.  A
+zero-energy label is the corrected operator (vacuum expectation zero,
+no 1/sigma(z) tail); away from zero the corrected and plain operators
+are equal.  alpha_0 is central, so a zero-energy label needs a z-variable.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ class EOp(NamedTuple):
     """One operator in a correlator sequence."""
     energy: int
     zvars: frozenset
-    corrected: bool = False
 
 
 def canonical_partition(parts):
@@ -66,18 +65,17 @@ def check_query(mu, nu, k, r, s):
 def alpha_op(n):
     if n == 0:
         raise ValueError("alpha_0 is central; it does not belong in sequences")
-    return EOp(operator.index(n), frozenset(), False)
+    return EOp(operator.index(n), frozenset())
 
 
 def insertion_op(energy, var):
     """Insertion operator of the given energy in z-variable index var;
-    at energy zero it is the corrected variant."""
-    energy = operator.index(energy)
-    return EOp(energy, frozenset((var,)), energy == 0)
+    at energy zero it is the corrected operator."""
+    return EOp(operator.index(energy), frozenset((var,)))
 
 
 # A dict, not lru_cache, so _vev's early exits are not stored.  The
-# benchmark's sweep pass leaves 17,998 entries (30,638 keyed by name).
+# benchmark's sweep pass leaves 16,947 entries (28,582 keyed by name).
 _MEMO = {}
 _zero = lru_cache(maxsize=256)(TruncSeries.zero)
 
@@ -139,7 +137,7 @@ def _vev(seq, caps, connected):
         edge = sigma_series(
             _edge_form(a, a_op.zvars, b, b_op.zvars, len(caps)), caps)
         if not edge.is_zero():
-            merged = EOp(a + b, a_op.zvars | b_op.zvars, True)
+            merged = EOp(a + b, a_op.zvars | b_op.zvars)
             rest = seq[:p - 1] + (merged,) + seq[p + 1:]
             total = total + edge * _vev(rest, caps, connected)
     _MEMO[key] = total
@@ -151,8 +149,8 @@ def _expectation(ops, caps, connected):
     caps = tuple(caps)
     seq = tuple(ops)
     for op in seq:
-        if op.energy == 0 and not op.corrected:
-            raise ValueError("zero-energy labels must be corrected")
+        if op.energy == 0 and not op.zvars:
+            raise ValueError("a zero-energy label needs a z-variable")
         if any(v < 0 or v >= len(caps) for v in op.zvars):
             raise ValueError("zvars index outside caps range")
     if sum(op.energy for op in seq) != 0:
@@ -164,8 +162,8 @@ def connected_vev_series(ops, caps):
     """Connected vacuum expectation of a sequence of EOp labels.
 
     Returns a TruncSeries in the z-variables 0..len(caps)-1.  Every
-    zvars index must lie below len(caps) and zero-energy labels must be
-    corrected.
+    zvars index must lie below len(caps), and a zero-energy label, which
+    stands for the corrected insertion, needs a z-variable.
     """
     ops = tuple(ops)
     if not ops:
@@ -221,7 +219,7 @@ def _render_op(op):
     if not op.zvars:
         return f"a{op.energy}"
     vals = ",".join(f"z{i + 1}" for i in sorted(op.zvars))
-    tilde = "~" if op.corrected and op.energy == 0 else ""
+    tilde = "~" if op.energy == 0 else ""
     return f"E{tilde}{op.energy}({vals})"
 
 
@@ -283,7 +281,7 @@ def commutation_tree_dot(ops, caps, max_nodes=400):
                 mid = node((), note=f"fold s({a}zK)/s(zK)")
                 lines.append(f'  {nid} -> {mid} [label="merge"];')
         else:
-            merged = EOp(a + b, a_op.zvars | b_op.zvars, True)
+            merged = EOp(a + b, a_op.zvars | b_op.zvars)
             rest = seq[:p - 1] + (merged,) + seq[p + 1:]
             mid = walk(rest)
             lines.append(f'  {nid} -> {mid} [label="merge"];')

@@ -240,9 +240,6 @@ class TestWallCrossing:
         assert wall_crossing_genus0(
             W_FIRST, lattice_point((8, 4), (6, 2), 2)) == 0
 
-    def test_oversized_t_is_empty_sum(self):
-        assert wall_crossing_series(wall((0,), (0,), 3), C_PLUS, 1, 2) == 0
-
     def test_genus0_matches_series_on_random_walls(self):
         rng = random.Random(97)
         checked = 0
@@ -286,7 +283,11 @@ class TestWallCrossing:
         # a negative index, which would read mu[-1]
         (wall((0, -1), (0,), 1), lattice_point((9, 3), (5, 5), 1),
          ("series", "genus0")),
-    ], ids=["full-full", "past-mu-series", "past-mu-genus0", "negative"])
+        # a t outside 0..s = 0..2, which all_walls never lists
+        (wall((0,), (0,), -1), C_PLUS, ("series", "genus0")),
+        (wall((0,), (0,), 3), C_PLUS, ("series", "genus0")),
+    ], ids=["full-full", "past-mu-series", "past-mu-genus0", "negative",
+            "t-below-0", "t-past-s"])
     def test_wall_outside_the_arrangement_rejected(self, w, point, routes):
         for route in routes:
             with pytest.raises(ValueError, match=r"^wall I="):

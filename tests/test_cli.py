@@ -278,6 +278,15 @@ class TestWallCross:
         assert code == 2
         assert "--wall-I" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["-1", "3", "7"])
+    def test_t_outside_0_to_s_is_a_usage_error(self, capsys, t):
+        # the last --wall-t wins over POINT's
+        code = main([*self.POINT, "--wall-I", "1", "--wall-J", "1",
+                     "--wall-t", t])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: wall I=[0] J=[0] t={t} has t outside 0..2")
+
 
 CHAMBER_GOLDEN_ARGV = [
     ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2",

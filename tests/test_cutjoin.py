@@ -17,27 +17,28 @@ class TestQWeight:
     """The transition bracket before the 1/(|Aut A| |Aut B|) weighting."""
 
     def test_join_weight(self):
-        assert _bracket((2,), (1, 1), 1) == 2
+        assert _bracket((1, 1, 2), 1) == 2
 
     def test_cut_weight(self):
-        assert _bracket((1, 1), (2,), 1) == 2
+        # cutting 2 into 1 + 1 reverses the join: one multiset, one bracket
+        assert _bracket((1, 1, 2), 1) == 2
 
     def test_absorbing_weight(self):
-        assert _bracket((1,), (1, 1), 1) == 1
+        assert _bracket((1, 1, 1), 1) == 1
 
     def test_pure_creation_weight(self):
-        assert _bracket((2,), (), 1) == Q(1, 4)
+        assert _bracket((2,), 1) == Q(1, 4)
 
     def test_parity_vanishing(self):
-        assert _bracket((1, 1), (1,), 2) == 0
-        assert _bracket((1,), (1,), 1) == 0
+        assert _bracket((1, 1, 1), 2) == 0
+        assert _bracket((1, 1), 1) == 0
 
     def test_higher_completion(self):
-        assert _bracket((3,), (1,), 2) == Q(9, 8)
+        assert _bracket((1, 3), 2) == Q(9, 8)
 
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
-            _bracket((), (), 1)
+            _bracket((), 1)
 
 
 class TestPartitionsOf:

@@ -39,15 +39,24 @@ class TestOperatorLabels:
         with pytest.raises(ValueError):
             alpha_op(0)
 
-    def test_uncorrected_zero_energy_rejected(self):
-        with pytest.raises(ValueError, match="must be corrected"):
-            connected_vev_series([EOp(0, frozenset({0}), False)], (1,))
+    @pytest.mark.parametrize("vev", [connected_vev_series,
+                                     disconnected_vev_series])
+    def test_zero_energy_label_needs_a_zvar(self, vev):
+        # a zero-energy label is the corrected insertion; with no
+        # z-variable it would be the central alpha_0
+        for ops in ([EOp(0, frozenset())],
+                    [alpha_op(1), EOp(0, frozenset()), alpha_op(-1)]):
+            with pytest.raises(ValueError, match="needs a z-variable"):
+                vev(ops, ())
 
-    def test_zero_energy_defaults_to_corrected(self):
-        assert insertion_op(0, 0).corrected
-
-    def test_nonzero_energy_defaults_to_plain(self):
-        assert not insertion_op(-2, 1).corrected
+    def test_merged_and_plain_labels_share_a_memo_entry(self):
+        # <a3 E_{-1}(z) a_{-2}> merges into <E_2(z) a_{-2}>, which is
+        # also a plain insertion's sequence
+        fock._MEMO.clear()
+        assert connected_hurwitz((3,), (2,), 1, 2, 1) == Q(1, 2)
+        before = len(fock._MEMO)
+        connected_vev_series([insertion_op(2, 0), alpha_op(-2)], (3,))
+        assert len(fock._MEMO) == before
 
 
 class TestConnectedSeries:
@@ -199,7 +208,7 @@ def labelled_sequences(draw):
     caps = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars,
                                max_size=nvars)))
     # each variable joins one of nvars labels, or none except z_1; a
-    # label of two variables is a merged one, which is corrected
+    # label of two variables is a merged one
     owner = [draw(st.integers(0 if v == 0 else -1, nvars - 1))
              for v in range(nvars)]
     ops = []
@@ -207,8 +216,7 @@ def labelled_sequences(draw):
         zvars = frozenset(v for v in range(nvars) if owner[v] == label)
         if zvars:
             energy = draw(st.integers(-2, 2))
-            ops.append(EOp(energy, zvars, len(zvars) > 1 or energy == 0
-                           or draw(st.booleans())))
+            ops.append(EOp(energy, zvars))
     ops += [alpha_op(n) for n in draw(st.lists(
         st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=3))]
     balance = -sum(op.energy for op in ops)

@@ -54,6 +54,13 @@ def test_cli_import_loads_only_the_modules_compute_uses():
                    "leakyhurwitz.series"]
 
 
+def test_oracle_import_shares_nothing_with_the_engine():
+    # the two routes share nothing above the rational-number type
+    got = fresh(f"import json, leakyhurwitz.oracle\nprint({LOADED})")
+    assert got == ["leakyhurwitz", "leakyhurwitz.oracle",
+                   "leakyhurwitz.series"]
+
+
 def test_every_export_resolves_and_star_import_binds_it():
     got = fresh(
         "import json, importlib, leakyhurwitz as lh\n"
