@@ -71,6 +71,12 @@ def wall(I, J, t):
                 frozenset(map(operator.index, J)), operator.index(t))
 
 
+def wall_name(w):
+    """The wall as every message prints it: 1-based part positions."""
+    return (f"I={sorted(i + 1 for i in w.I)} "
+            f"J={sorted(j + 1 for j in w.J)} t={w.t}")
+
+
 def complement_wall(w, m, n, s):
     return Wall(frozenset(range(m)) - w.I, frozenset(range(n)) - w.J,
                 s - w.t)
@@ -311,7 +317,7 @@ def _check_wall(w, m, n, s):
     and s insertions: an index or a t out of range, or the degenerate
     (empty, empty) or (full, full) pair that all_walls leaves out."""
     full_I, full_J = frozenset(range(m)), frozenset(range(n))
-    name = f"wall I={sorted(w.I)} J={sorted(w.J)} t={w.t}"
+    name = f"wall {wall_name(w)}"
     if not (w.I <= full_I and w.J <= full_J):
         raise ValueError(f"{name} indexes outside {m} mu-parts and "
                          f"{n} nu-parts")
@@ -439,8 +445,7 @@ def format_chamber_report(poly):
 
 def format_wall_report(w, point, value, delta):
     return "\n".join([
-        f"wall: I={sorted(i + 1 for i in w.I)} "
-        f"J={sorted(j + 1 for j in w.J)} t={w.t}",
+        f"wall: {wall_name(w)}",
         f"point: mu={list(point.mu)} nu={list(point.nu)} k={point.k}",
         f"delta: {delta}",
         f"crossing: {value}",

@@ -88,6 +88,8 @@ def resolve_s(args, m, n):
     if args.r < 1:
         raise UsageError(f"--r: must be >= 1, got {args.r}")
     if args.s != "auto":
+        if getattr(args, "genus", None) is not None:
+            raise UsageError("--genus: derives s only with --s auto")
         try:
             s = int(args.s)
         except ValueError:
@@ -420,17 +422,12 @@ def cmd_tree_dump(args, out):
 
 def cmd_selftest(args, out):
     from . import verify as verify_mod
-    if args.criteria:
-        try:
-            numbers = sorted({int(tok) for tok in args.criteria.split(",")})
-        except ValueError:
-            raise UsageError("--criteria: expected comma-separated "
-                             "criterion numbers") from None
-        unknown = [i for i in numbers if i not in verify_mod.ALL_CRITERIA]
-        if unknown:
-            raise UsageError(f"--criteria: unknown criteria {unknown}")
-    else:
-        numbers = sorted(verify_mod.ALL_CRITERIA)
+    numbers = sorted(set(parse_list(args.criteria or "", "--criteria",
+                                    "a criterion number", 0))
+                     or verify_mod.ALL_CRITERIA)
+    unknown = [i for i in numbers if i not in verify_mod.ALL_CRITERIA]
+    if unknown:
+        raise UsageError(f"--criteria: unknown criteria {unknown}")
     all_ok = True
     for num in numbers:
         rep = verify_mod.ALL_CRITERIA[num]()

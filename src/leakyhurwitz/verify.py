@@ -22,6 +22,7 @@ from .chambers import (
     lattice_point,
     sign_vector,
     wall,
+    wall_name,
     wall_crossing_genus0,
     wall_crossing_series,
 )
@@ -65,10 +66,6 @@ def _report(number, name, t0, checked, failures, extra=""):
                            int((time.perf_counter() - t0) * 1000))
 
 
-def partitions_with_length(total, length):
-    return tuple(p for p in partitions_of(total) if len(p) == length)
-
-
 def one_part_grid():
     """The (d, m, k, nu) grid shared by criteria 1, 2, and 9."""
     for d in range(1, 11):
@@ -77,8 +74,8 @@ def one_part_grid():
                 rest = d - (m - 1) * k
                 if rest < m:
                     continue
-                for nu in partitions_with_length(rest, m):
-                    yield d, m, k, nu
+                yield from ((d, m, k, nu) for nu in partitions_of(rest)
+                            if len(nu) == m)
 
 
 # -- criteria ------------------------------------------------------------
@@ -284,7 +281,7 @@ def criterion_6():
     ]
     checked, failures = 0, []
     for w, m, n, s, extra in cases:
-        label = f"wall I={sorted(w.I)} J={sorted(w.J)} t={w.t} m={m} n={n}"
+        label = f"wall {wall_name(w)} m={m} n={n}"
         try:
             p_plus, p_minus = find_adjacent_pair(w, m, n, s, rng)
         except RuntimeError as exc:

@@ -73,6 +73,16 @@ class TestCompute:
         assert code == 2
         assert "--genus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--mu", "5", "--nu", "1,1,1", "--k", "1", "--s", "2",
+         "--connected", "--genus", "3"],
+        ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--genus", "4"],
+    ])
+    def test_genus_beside_an_explicit_s_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: --genus")
+
     def test_s_auto_rejects_non_multiple(self, capsys):
         # 2g-2+m+n = 3 is not a multiple of r=2
         code = main(["compute", "--mu", "5", "--nu", "1,1", "--k", "1",
@@ -285,7 +295,7 @@ class TestWallCross:
                      "--wall-t", t])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            f"usage error: wall I=[0] J=[0] t={t} has t outside 0..2")
+            f"usage error: wall I=[1] J=[1] t={t} has t outside 0..2")
 
 
 CHAMBER_GOLDEN_ARGV = [
@@ -347,6 +357,11 @@ class TestVerifiers:
     def test_selftest_unknown_criterion(self, capsys):
         assert main(["selftest", "--criteria", "99"]) == 2
         assert "--criteria" in capsys.readouterr().err
+
+    def test_selftest_bad_token_names_its_position(self, capsys):
+        assert main(["selftest", "--criteria", "1,,2"]) == 2
+        err = capsys.readouterr().err
+        assert "--criteria" in err and "position 2" in err
 
 
 class TestTreeDump:

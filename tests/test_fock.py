@@ -274,6 +274,21 @@ class TestRelabelling:
         assert connected_hurwitz(mu, nu, k, r, s, caps=caps) == cold
         assert cold == connected_hurwitz(mu, nu, k, r, s)
 
+    def test_memo_holds_canonical_keys_only(self):
+        # a renamed sequence is served from its canonical entry and
+        # leaves no entry under its own labels
+        saved = dict(fock._MEMO)
+        fock._MEMO.clear()
+        try:
+            assert connected_hurwitz((9, 3), (6, 2), 2, 1, 2) == 16
+            for seq, _, _ in fock._MEMO:
+                seen = [v for op in seq for v in sorted(op.zvars)]
+                assert seen == list(range(len(seen)))
+            assert len(fock._MEMO) == 17
+        finally:
+            fock._MEMO.clear()
+            fock._MEMO.update(saved)
+
 
 class TestTreeDump:
     def test_dot_output_shape(self):
