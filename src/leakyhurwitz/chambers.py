@@ -359,12 +359,14 @@ def wall_crossing_series(w, point, r, s):
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point violates the energy balance")
     _check_wall(w, m, n, s)
+    name = f"wall {wall_name(w)}"
     if not (w.I and w.J) or w.I >= frozenset(range(m)) \
             or w.J >= frozenset(range(n)):
-        raise ValueError("wall needs nonempty proper index sets")
+        raise ValueError(f"{name} needs nonempty proper index sets")
     delta = delta_of(w, point)
     if delta == 0:
-        raise ValueError("point lies on the wall; move strictly off it")
+        raise ValueError(f"{name}: point lies on the wall; move strictly "
+                         f"off it")
     if delta < 0:
         return -wall_crossing_series(complement_wall(w, m, n, s), point, r, s)
 

@@ -17,14 +17,9 @@ import os
 import sys
 import time
 
-from .fock import (
-    commutation_tree_dot,
-    connected_hurwitz,
-    hurwitz_sequence,
-)
+from .fock import commutation_tree_dot, hurwitz_sequence
 from .numbers import (
     HurwitzCache,
-    HurwitzResult,
     _fock_cheaper,
     bounded_profiles,
     evaluate,
@@ -203,18 +198,8 @@ def cmd_compute(args, out):
         q = make_query(mu, nu, args.k, args.r, s, args.connected)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.caps is not None:
-        caps = parse_caps(args.caps, q.r, q.s)
-        if not q.connected:
-            raise UsageError("--caps: the truncation override applies "
-                             "to connected queries only")
-        start = time.perf_counter()
-        value = connected_hurwitz(q.mu, q.nu, q.k, q.r, q.s, caps=caps)
-        ms = (time.perf_counter() - start) * 1000.0
-        rec = number_record(HurwitzResult(value, q, "engine-caps", ms))
-    else:
-        with open_cache(args) as cache:
-            rec = number_record(evaluate(q, cache))
+    with open_cache(args) as cache:
+        rec = number_record(evaluate(q, cache))
     emit_records([rec], args.format, out)
     return 0
 
@@ -355,7 +340,7 @@ def cmd_wall_cross(args, out):
 def cmd_cutjoin_verify(args, out):
     from .cutjoin import verify_cut_and_join
     nu = parse_list(args.nu, "--nu")
-    s = resolve_s(args, 0, len(nu))
+    s = resolve_s(args, 0, 0)
     if s < 1:
         raise UsageError("--s: the evolution step needs s >= 1")
     try:
@@ -472,8 +457,6 @@ def build_parser():
     _add_query_flags(p)
     p.add_argument("--connected", action="store_true",
                    help="connected count (default disconnected)")
-    p.add_argument("--caps", default=None,
-                   help="per-insertion truncation override (connected only)")
     _add_format(p, RECORD_FORMATS)
     _add_cache(p)
     p.set_defaults(func=cmd_compute)
@@ -509,8 +492,7 @@ def build_parser():
     p.add_argument("--nu", default="", help="comma-separated nu parts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", default="1")
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--s", type=int, default=1)
     _add_format(p, REPORT_FORMATS)
     p.set_defaults(func=cmd_cutjoin_verify)
 

@@ -187,18 +187,14 @@ def hurwitz_sequence(mu, nu, k, s):
     return tuple(ops)
 
 
-def connected_hurwitz(mu, nu, k, r, s, caps=None):
+def connected_hurwitz(mu, nu, k, r, s):
     """Connected k-leaky double Hurwitz number with (r+1)-cycle insertions.
 
     Extracts the coefficient of prod z_i^(r+1) from the connected
-    correlator and divides by prod(mu) * prod(nu).  caps overrides the
-    truncation degree of each z_i (default r+1); the value is the same
-    for any caps of length s with every cap at least r+1.
+    correlator, truncated at degree r+1 in each z_i, and divides by
+    prod(mu) * prod(nu).
     """
     mu, nu, k, r, s = check_query(mu, nu, k, r, s)
-    caps = (r + 1,) * s if caps is None else tuple(caps)
-    if len(caps) != s or any(c < r + 1 for c in caps):
-        raise ValueError("need one cap >= r+1 per insertion")
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
     # each of the len-2 merges contributes an odd-degree sigma edge, so
@@ -210,7 +206,7 @@ def connected_hurwitz(mu, nu, k, r, s, caps=None):
     ops = hurwitz_sequence(mu, nu, k, s)
     if not ops:
         return Q(0)
-    series = connected_vev_series(ops, caps)
+    series = connected_vev_series(ops, (r + 1,) * s)
     return series.coefficient((r + 1,) * s) / math.prod(mu + nu)
 
 

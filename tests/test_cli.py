@@ -1,4 +1,5 @@
 """Command-line interface: records, formats, exit codes, caching."""
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leakyhurwitz import numbers
-from leakyhurwitz.cli import balanced_triples, main
+from leakyhurwitz.cli import balanced_triples, build_parser, main
 from leakyhurwitz.numbers import bounded_profiles, evaluate, make_query
 
 ONE_PART = ["--mu", "5", "--nu", "1,1,1", "--k", "1", "--r", "1", "--s", "2"]
@@ -76,7 +77,8 @@ class TestCompute:
     @pytest.mark.parametrize("argv", [
         ["compute", "--mu", "5", "--nu", "1,1,1", "--k", "1", "--s", "2",
          "--connected", "--genus", "3"],
-        ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--genus", "4"],
+        ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2", "--s", "2",
+         "--genus", "5"],
     ])
     def test_genus_beside_an_explicit_s_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
@@ -90,19 +92,14 @@ class TestCompute:
         assert code == 2
         assert "--s auto" in capsys.readouterr().err
 
-    def test_caps_override_keeps_the_value(self, capsys):
-        assert main(["compute", *ONE_PART, "--connected",
-                     "--caps", "3,4"]) == 0
-        out = capsys.readouterr().out
-        assert "= 9/1" in out and "method=engine-caps" in out
-
+    # --caps now belongs to tree-dump alone, which checks it the same way
     def test_caps_below_extraction_degree_rejected(self, capsys):
-        code = main(["compute", *ONE_PART, "--connected", "--caps", "1,1"])
+        code = main(["tree-dump", *ONE_PART, "--caps", "1,1"])
         assert code == 2
         assert "--caps" in capsys.readouterr().err
 
     def test_blank_caps_is_an_empty_list(self, capsys):
-        assert main(["compute", *ONE_PART, "--connected", "--caps", ""]) == 2
+        assert main(["tree-dump", *ONE_PART, "--caps", ""]) == 2
         assert capsys.readouterr().err == (
             "usage error: --caps: need one cap per insertion (2), got 0\n")
 
@@ -297,6 +294,23 @@ class TestWallCross:
         assert capsys.readouterr().err.startswith(
             f"usage error: wall I=[1] J=[1] t={t} has t outside 0..2")
 
+    def test_empty_index_set_names_the_wall(self, capsys):
+        code = main([*self.POINT, "--wall-I", "", "--wall-J", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("usage error: wall I=[] J=[1] t=1 needs nonempty "
+                       "proper index sets\n")
+
+    def test_point_on_the_wall_names_the_wall(self, capsys):
+        # delta = 10 - 6 - 2 * 2 = 0 on I={1}, J={1}, t=2
+        code = main(["wall-cross", "--mu", "10,2", "--nu", "6,2", "--k", "2",
+                     "--s", "2", "--wall-I", "1", "--wall-J", "1",
+                     "--wall-t", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: wall I=[1] J=[1] t=2: point "
+                              "lies on the wall")
+
 
 CHAMBER_GOLDEN_ARGV = [
     ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2",
@@ -399,7 +413,7 @@ class TestTreeDump:
 # Valid flags per subcommand; the fuzz test spoils exactly one of them.
 VALID_FLAGS = {
     "compute": {"--mu": "5", "--nu": "1,1,1", "--k": "1", "--r": "1",
-                "--s": "2", "--caps": "3,3"},
+                "--s": "2"},
     "table": {"--max-part": "2", "--max-len": "1", "--r": "1", "--s": "1"},
     "chamber-fit": {"--mu": "9,3", "--nu": "6,2", "--k": "2", "--r": "1",
                     "--s": "2"},
@@ -548,8 +562,41 @@ class TestProcessLevel:
     ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2", "--s", "2",
      "--cache", "cache.jsonl"],
     ["oracle-verify", "--max-size", "1", "--cache", "cache.jsonl"],
+    ["compute", *ONE_PART, "--connected", "--caps", "3,3"],
+    ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--genus", "1"],
+    ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--s", "auto"],
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("usage error") and argv[-2] in err
+
+
+def readme_cli_rows():
+    """(subcommand, flags) per row of README's command-line reference
+    table; a `--s|--genus` alternative counts as two flags."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command-line reference", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split(" | ")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        spans = re.findall(r"`([^`]*)`", cells[2].replace("\\|", " "))
+        flags = [tok for span in spans for tok in span.split()
+                 if tok.startswith("--")]
+        rows.append((cells[0].strip("`"), flags))
+    return rows
+
+
+def test_readme_cli_table_lists_only_accepted_flags():
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    rows = readme_cli_rows()
+    assert {sub for sub, _ in rows} == set(subparsers.choices)
+    for sub, flags in rows:
+        accepted = subparsers.choices[sub]._option_string_actions
+        assert flags and [f for f in flags if f not in accepted] == [], sub
