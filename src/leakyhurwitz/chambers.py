@@ -6,12 +6,12 @@ subsets I, J of the part positions and an insertion count t; each
 records a way an intermediate operator of the commutation algorithm can
 reach energy zero, so I or J may be empty or full (only the two pairs
 whose hyperplane degenerates to k = 0 are excluded).  On each open
-chamber the connected number is a polynomial in
-the parts (k eliminated through the energy balance); the fit solves an
-exact rational linear system on in-chamber lattice samples and must
-reproduce held-out samples exactly.  Wall crossings are computed both
-from fitted polynomial differences and from the quadratic formula in
-smaller correlators.
+chamber the connected number is a polynomial in the parts (k
+eliminated through the energy balance); the fit reduces integer
+monomial rows of in-chamber lattice samples by fraction-free
+elimination and must reproduce held-out samples exactly.  Wall
+crossings are computed both from fitted polynomial differences and
+from the quadratic formula in smaller correlators.
 """
 from __future__ import annotations
 
@@ -148,15 +148,12 @@ class ChamberPoly(NamedTuple):
     signs: tuple
 
     def evaluate(self, mu, nu):
-        mu = tuple(sorted(mu, reverse=True))
-        nu = tuple(sorted(nu, reverse=True))
+        mu, nu = canonical_partition(mu), canonical_partition(nu)
         if len(mu) != self.m or len(nu) != self.n:
             raise ValueError("part counts do not match the fitted chamber")
         coords = mu + nu
-        total = Q(0)
-        for exps, c in self.coeffs.items():
-            total += c * _eval_monomial(exps, coords)
-        return total
+        return sum((c * math.prod(map(pow, coords, exps))
+                    for exps, c in self.coeffs.items()), Q(0))
 
     def named_terms(self):
         """(monomial, coefficient) pairs, largest exponents first; a
@@ -187,14 +184,6 @@ def _parity_monomials(nvars, degree):
             out.append(tuple(exps))
         d -= 2
     return out
-
-
-def _eval_monomial(exps, coords):
-    v = Q(1)
-    for x, e in zip(coords, exps):
-        if e:
-            v *= Q(x) ** e
-    return v
 
 
 # fresh draws in a row after which the sampler gives up
@@ -250,12 +239,12 @@ def fit_chamber_polynomial(base, r, s, rng=None):
     """Fit the chamber polynomial through exact interpolation.
 
     Draws in-chamber lattice points with the same sign vector as base
-    from one stream, reducing each monomial row (degrees D, D-2, ...
-    only) against the rows kept so far; a row that stays nonzero is
-    kept, with its engine value reduced alongside.  At full rank
-    back-substitution gives the unique interpolant, and the next
-    HOLDOUT points of the stream must match it exactly.  A held-out
-    mismatch raises ChamberFitError.
+    from one stream and reduces each integer monomial row (degrees D,
+    D-2, ... only) against the rows kept so far by Bareiss's
+    fraction-free steps; a row that stays nonzero is kept, with its
+    engine value reduced alongside.  At full rank back-substitution
+    gives the unique interpolant, and the next HOLDOUT points of the
+    stream must match it exactly, or ChamberFitError is raised.
     """
     mu, nu, k, r, s = check_query(*base, r, s)
     base = LatticePoint(mu, nu, k)
@@ -275,22 +264,24 @@ def fit_chamber_polynomial(base, r, s, rng=None):
     monomials = _parity_monomials(m + n, degree)
     nmono = len(monomials)
 
-    # (pivot, row, value): each row is zero on the pivots of earlier ones
+    # (pivot, row, value): integer rows, each zero on the pivots of
+    # earlier ones; a Bareiss step divides exactly by the previous pivot
     reduced = []
     samples = _in_chamber_samples(base, s, signs, rng)
     for cand in samples:
-        row = [_eval_monomial(e, cand.mu + cand.nu) for e in monomials]
-        shift = Q(0)
+        coords = cand.mu + cand.nu
+        row = [math.prod(map(pow, coords, e)) for e in monomials]
+        prev, shift = 1, Q(0)
         for piv, red, val in reduced:
-            if row[piv] != 0:
-                f = row[piv] / red[piv]
-                row = [x - f * y for x, y in zip(row, red)]
-                shift += f * val
-        piv = next((i for i, x in enumerate(row) if x != 0), None)
+            p, f = red[piv], row[piv]
+            row = [(p * x - f * y) // prev for x, y in zip(row, red)]
+            shift = (p * shift + f * val) / prev
+            prev = p
+        piv = next((i for i, x in enumerate(row) if x), None)
         if piv is None:
             continue
         value = connected_hurwitz(cand.mu, cand.nu, cand.k, r, s)
-        reduced.append((piv, row, value - shift))
+        reduced.append((piv, row, prev * value - shift))
         if len(reduced) == nmono:
             break
 

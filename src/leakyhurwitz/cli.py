@@ -2,7 +2,8 @@
 wall crossings, verification suites, and DOT dumps of the commutation
 recursion.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Records
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 the
+reader closed stdout (128 + SIGPIPE, as the shell reports it).  Records
 are emitted as plain text, one-object-per-line JSON, or CSV with the
 header mu,nu,k,r,s,connected,num,den,genus,method,ms.  Exact values are
 always decimal-string numerator/denominator pairs, never floats.
@@ -226,8 +227,6 @@ def cmd_table(args, out):
         raise UsageError("--max-len: must be >= 1")
     if args.k_min > args.k_max:
         raise UsageError("--k-min: exceeds --k-max")
-    if args.s == "auto":
-        raise UsageError("--s: table needs an explicit insertion count")
     s = resolve_s(args, 0, 0)
     # shortest first, ascending within a length
     profiles = [p for length in range(args.max_len + 1)
@@ -467,7 +466,7 @@ def build_parser():
     p.add_argument("--k-min", type=int, default=-2)
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--s", default="auto")
+    p.add_argument("--s", type=int, required=True)
     p.add_argument("--connected", action="store_true")
     _add_format(p, RECORD_FORMATS)
     _add_cache(p)
@@ -522,10 +521,16 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, sys.stdout)
+        status = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: aim stdout at devnull so no flush can raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

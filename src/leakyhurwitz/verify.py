@@ -282,6 +282,9 @@ def criterion_6():
         # genus 1 at r = 2, the paper's new case
         (wall((0,), (0,), 1), 2, 2, 2, 2, ()),
         (wall((1,), (1,), 1), 2, 2, 2, 2, ()),
+        # genus 1 at r = 1 with four insertions, and genus 2 at r = 3
+        (wall((0,), (0,), 2), 2, 2, 1, 4, ()),
+        (wall((0,), (0,), 1), 2, 2, 3, 2, ()),
     ]
     checked, failures = 0, []
     for w, m, n, r, s, extra in cases:

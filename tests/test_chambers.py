@@ -1,4 +1,6 @@
 """Chamber geometry, exact polynomial fits, and wall crossing."""
+import itertools
+import math
 import random
 
 import pytest
@@ -187,6 +189,35 @@ class TestChamberFit:
         with pytest.raises(ChamberFitError, match="held-out point"):
             fit_chamber_polynomial(C_PLUS, 1, 2)
         assert len(calls) == 5
+
+    def test_solver_recovers_a_dense_rational_polynomial(self, monkeypatch):
+        # every monomial of degree 5, 3 or 1 in four parts, each with a
+        # non-integer coefficient: the fit must return exactly these,
+        # asking for one value per monomial and one per held-out point
+        exps = [e for e in itertools.product(range(6), repeat=4)
+                if sum(e) in (5, 3, 1)]
+        want = {e: (-1) ** i * (i + Q(1, i + 2)) for i, e in enumerate(exps)}
+        calls = []
+
+        def dense(mu, nu, k, r, s):
+            calls.append((mu, nu, k))
+            coords = mu + nu
+            return sum(c * math.prod(map(pow, coords, e))
+                       for e, c in want.items())
+
+        monkeypatch.setattr(chambers, "connected_hurwitz", dense)
+        base = lattice_point((11, 7), (14, 12), -2)
+        assert 0 not in sign_vector(base, 4)
+        poly = fit_chamber_polynomial(base, 1, 4)
+        assert len(want) == 80 and poly.degree == 5
+        assert poly.coeffs == want
+        assert len(calls) == 80 + chambers.HOLDOUT
+
+    def test_evaluate_rejects_a_non_integer_part(self):
+        poly = fit_chamber_polynomial(C_PLUS, 1, 2)
+        assert poly.evaluate((9, 3), (6, 2)) == Q(16)
+        with pytest.raises(TypeError):
+            poly.evaluate((9.5, 3), (6, 2))
 
     def test_report_format(self):
         poly = fit_chamber_polynomial(C_PLUS, 1, 2)

@@ -543,6 +543,21 @@ class TestProcessLevel:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # the reader stops after one row, as `| head -1` does, while the
+        # table still has rows to write
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "leakyhurwitz.cli", "table",
+             "--max-part", "5", "--max-len", "4", "--k-min", "-3",
+             "--k-max", "3", "--s", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert first.startswith(b"h(mu=[], nu=[], k=0") and err == b""
+
     @pytest.mark.skipif(shutil.which("leakyhurwitz") is None,
                         reason="console script not on PATH")
     def test_console_script(self):
@@ -565,12 +580,20 @@ class TestProcessLevel:
     ["compute", *ONE_PART, "--connected", "--caps", "3,3"],
     ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--genus", "1"],
     ["cutjoin-verify", "--nu", "2,1", "--k", "1", "--s", "auto"],
+    ["table", "--max-part", "2", "--s", "auto"],
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage error") and argv[-2] in err
+
+
+def test_table_without_s_is_a_usage_error(capsys):
+    assert main(["table", "--max-part", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: the following arguments are required: --s\n"
 
 
 def readme_cli_rows():
