@@ -337,34 +337,41 @@ def _h_factor(left_alphas, insertion_vars, right_alphas, k, caps):
     return disconnected_vev_series(ops, caps) * (Q(1) / denom)
 
 
-def wall_crossing_series(w, point, r, s):
-    """Wall-crossing value from the quadratic correlator formula.
+def _oriented_split(w, point, s):
+    """Check a balanced point and a wall of the arrangement, then turn
+    the wall so that the point lies on its delta >= 0 side.
 
-    Returns the jump (delta>0 side minus delta<0 side) of the chamber
-    polynomials across wall w, evaluated at point.  The point must be
-    strictly off the wall; delta = 0 is rejected.
+    Returns (sign, wall, delta, mu_I, nu_J, mu_Ic, nu_Jc): the crossing
+    across w is sign times the crossing across the returned wall, whose
+    index sets split the parts into the four lists.
     """
-    mu, nu, k, r, s = check_query(*point, r, s)
-    point = LatticePoint(mu, nu, k)
     m, n = len(point.mu), len(point.nu)
     if sum(point.mu) != sum(point.nu) + s * point.k:
         raise ValueError("point violates the energy balance")
     _check_wall(w, m, n, s)
-    name = f"wall {wall_name(w)}"
-    if not (w.I and w.J) or w.I >= frozenset(range(m)) \
-            or w.J >= frozenset(range(n)):
-        raise ValueError(f"{name} needs nonempty proper index sets")
-    delta = delta_of(w, point)
-    if delta == 0:
-        raise ValueError(f"{name}: point lies on the wall; move strictly "
-                         f"off it")
+    sign, delta = 1, delta_of(w, point)
     if delta < 0:
-        return -wall_crossing_series(complement_wall(w, m, n, s), point, r, s)
+        sign, w, delta = -1, complement_wall(w, m, n, s), -delta
+    return (sign, w, delta,
+            [point.mu[i] for i in sorted(w.I)],
+            [point.nu[j] for j in sorted(w.J)],
+            [point.mu[i] for i in range(m) if i not in w.I],
+            [point.nu[j] for j in range(n) if j not in w.J])
 
-    mu_I = [point.mu[i] for i in sorted(w.I)]
-    nu_J = [point.nu[j] for j in sorted(w.J)]
-    mu_Ic = [point.mu[i] for i in range(m) if i not in w.I]
-    nu_Jc = [point.nu[j] for j in range(n) if j not in w.J]
+
+def wall_crossing_series(w, point, r, s):
+    """Wall-crossing value from the quadratic correlator formula.
+
+    Returns the jump (delta>0 side minus delta<0 side) of the chamber
+    polynomials across any wall w of all_walls, evaluated at point.
+    The point must be strictly off the wall; delta = 0 is rejected.
+    """
+    mu, nu, k, r, s = check_query(*point, r, s)
+    sign, w, delta, mu_I, nu_J, mu_Ic, nu_Jc = _oriented_split(
+        w, LatticePoint(mu, nu, k), s)
+    if delta == 0:
+        raise ValueError(f"wall {wall_name(w)}: point lies on the wall; "
+                         f"move strictly off it")
     caps = (r + 1,) * s
     allvars = tuple(range(s))
     full_ratio = sigma_over_sigma(delta, 1, allvars, caps)
@@ -388,37 +395,22 @@ def wall_crossing_series(w, point, r, s):
             h_right = _h_factor([delta] + mu_Ic, Kc, [-p for p in nu_Jc],
                                 k, caps)
             total = total + ratio * h_left * h_right
-    return total.coefficient((r + 1,) * s)
+    return sign * total.coefficient(caps)
 
 
 def wall_crossing_genus0(w, point):
     """Genus-zero wall crossing: binomial times delta times two
     connected one-part-smaller numbers (r=1, s=m+n-2)."""
     point = lattice_point(point.mu, point.nu, point.k)
-    m, n = len(point.mu), len(point.nu)
-    s = m + n - 2
-    if sum(point.mu) != sum(point.nu) + s * point.k:
-        raise ValueError("point is not genus-zero balanced")
-    _check_wall(w, m, n, s)
-    delta = delta_of(w, point)
-    if delta == 0:
-        return Q(0)
-    if delta < 0:
-        return -wall_crossing_genus0(complement_wall(w, m, n, s), point)
-    k = point.k
+    s = len(point.mu) + len(point.nu) - 2
+    sign, w, delta, mu_I, nu_J, mu_Ic, nu_Jc = _oriented_split(w, point, s)
     s1 = len(w.I) + len(w.J) - 1
-    if k != 0 and w.t != s1:
-        # the only insertion split with balanced factors is t = s1
+    if delta == 0 or (point.k != 0 and w.t != s1):
+        # on the wall, or off the only balanced insertion split t = s1
         return Q(0)
-    mu_I = tuple(point.mu[i] for i in sorted(w.I))
-    nu_J = tuple(point.nu[j] for j in sorted(w.J))
-    mu_Ic = tuple(point.mu[i] for i in range(m) if i not in w.I)
-    nu_Jc = tuple(point.nu[j] for j in range(n) if j not in w.J)
-    s2 = s - s1
-    binom = math.comb(m + n - 2, s1)
-    h1 = connected_hurwitz(mu_I, nu_J + (delta,), k, 1, s1)
-    h2 = connected_hurwitz(mu_Ic + (delta,), nu_Jc, k, 1, s2)
-    return Q(binom) * Q(delta) * h1 * h2
+    h1 = connected_hurwitz(mu_I, nu_J + [delta], point.k, 1, s1)
+    h2 = connected_hurwitz(mu_Ic + [delta], nu_Jc, point.k, 1, s - s1)
+    return sign * Q(math.comb(s, s1)) * Q(delta) * h1 * h2
 
 
 # -- reports -----------------------------------------------------------

@@ -9,12 +9,12 @@ module both run these.
 """
 from __future__ import annotations
 
-import math
 import random
 import time
 from typing import NamedTuple
 
 from .chambers import (
+    _check_wall,
     all_walls,
     complement_wall,
     delta_of,
@@ -101,21 +101,20 @@ def criterion_1():
 
 
 def criterion_2():
-    """k=1 one-part values match the falling product (2d-1)...(2d-(m-2))."""
+    """The one-part closed form matches the Fock oracle on the full small
+    grid: with one mu part and k > 0 no nu-only block balances, so the
+    disconnected value is the connected number."""
     t0 = time.perf_counter()
     checked, failures = 0, []
     for d, m, k, nu in one_part_grid():
-        if k != 1:
-            continue
-        closed = Q(math.factorial(m - 1), 2 ** (m - 2))
-        for p in range(1, m - 1):
-            closed *= 2 * d - p
-        engine = connected_hurwitz((d,), nu, k, 1, m - 1)
+        closed = one_part_closed_genus0(d, m, k)
+        oracle = oracle_disconnected((d,), nu, k, 1, m - 1)
         checked += 1
-        if closed != engine:
-            failures.append(f"d={d} nu={nu}: product {closed} "
-                            f"!= engine {engine}")
-    return _report(2, "k=1 one-part product form", t0, checked, failures)
+        if closed != oracle:
+            failures.append(f"d={d} nu={nu} k={k}: closed {closed} "
+                            f"!= oracle {oracle}")
+    return _report(2, "one-part closed form against the oracle", t0,
+                   checked, failures)
 
 
 def oracle_sweep(max_size=8, max_s=3):
@@ -233,6 +232,7 @@ def find_adjacent_pair(w, m, n, s, rng):
     (the same hyperplane labeled from the other side), where both flip.
     Parts are drawn from 1..14, for at most 200,000 tries.
     """
+    _check_wall(w, m, n, s)
     walls = all_walls(m, n, s)
     iw = walls.index(w)
     pair_labels = {iw, walls.index(complement_wall(w, m, n, s))}
@@ -285,6 +285,12 @@ def criterion_6():
         # genus 1 at r = 1 with four insertions, and genus 2 at r = 3
         (wall((0,), (0,), 2), 2, 2, 1, 4, ()),
         (wall((0,), (0,), 1), 2, 2, 3, 2, ()),
+        # one-sided walls: empty I, empty J, full J and full I
+        (wall((), (0,), 1), 1, 3, 2, 2, ()),
+        (wall((1, 2), (), 1), 3, 1, 1, 2, ()),
+        (wall((1,), (), 1), 2, 2, 3, 2, ()),
+        (wall((0,), (0, 1), 2), 2, 2, 1, 4, ()),
+        (wall((0, 1), (0,), 2), 2, 2, 1, 4, ()),
     ]
     checked, failures = 0, []
     for w, m, n, r, s, extra in cases:

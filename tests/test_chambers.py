@@ -295,13 +295,24 @@ class TestWallCrossing:
             # only strictly interior points are comparable
             if 0 in sign_vector(point, s):
                 continue
-            # the crossing formula is stated for two-sided walls only
-            walls = [w for w in all_walls(m, n, s)
-                     if w.I and w.J and len(w.I) < m and len(w.J) < n]
+            walls = all_walls(m, n, s)
             w = walls[rng.randrange(len(walls))]
             assert (wall_crossing_series(w, point, 1, s)
                     == wall_crossing_genus0(w, point)), (w, point)
             checked += 1
+
+    def test_one_sided_wall_matches_the_fitted_jump(self):
+        # empty I at m = 1, n = 3, r = 2: the two points lie in chambers
+        # that share a facet of the wall
+        w = wall((), (0,), 1)
+        p_plus = lattice_point((4,), (13, 12, 11), -16)
+        p_minus = lattice_point((3,), (12, 8, 5), -11)
+        f_plus = fit_chamber_polynomial(p_plus, 2, 2)
+        f_minus = fit_chamber_polynomial(p_minus, 2, 2)
+        for point, expect in ((p_plus, Q(177, 4)), (p_minus, Q(-12))):
+            jump = (f_plus.evaluate(point.mu, point.nu)
+                    - f_minus.evaluate(point.mu, point.nu))
+            assert wall_crossing_series(w, point, 2, 2) == jump == expect
 
     @pytest.mark.parametrize("w,point,routes", [
         # the full/full pair that all_walls leaves out

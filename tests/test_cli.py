@@ -276,9 +276,12 @@ class TestWallCross:
         assert rec["delta"] == 1
         assert rec["genus0_agrees"] is True
 
-    def test_one_sided_wall_is_a_usage_error(self, capsys):
-        code = main([*self.POINT, "--wall-I", "1,2", "--wall-J", ""])
-        assert code == 2
+    def test_one_sided_wall_crosses(self, capsys):
+        argv = [*self.POINT, "--wall-I", "1,2", "--wall-J", ""]
+        assert main(argv) == 0
+        assert "crossing: 20" in capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["genus0_agrees"] is True
 
     def test_out_of_range_index_names_the_flag(self, capsys):
         code = main([*self.POINT, "--wall-I", "3", "--wall-J", "1"])
@@ -293,13 +296,6 @@ class TestWallCross:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"usage error: wall I=[1] J=[1] t={t} has t outside 0..2")
-
-    def test_empty_index_set_names_the_wall(self, capsys):
-        code = main([*self.POINT, "--wall-I", "", "--wall-J", "1"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == ("usage error: wall I=[] J=[1] t=1 needs nonempty "
-                       "proper index sets\n")
 
     def test_point_on_the_wall_names_the_wall(self, capsys):
         # delta = 10 - 6 - 2 * 2 = 0 on I={1}, J={1}, t=2

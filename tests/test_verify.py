@@ -1,9 +1,16 @@
-"""Criterion 10 reports a vanishing, negative or off-anchor value.
+"""Criterion 10 reports a vanishing, negative or off-anchor value, and
+the adjacent-pair search names a wall outside the arrangement.
 
-The engine is replaced by a cheap stand-in that satisfies every part of
-the criterion, so each test plants one bad value and reads the report.
+For criterion 10 the engine is replaced by a cheap stand-in that
+satisfies every part of the criterion, so each test plants one bad value
+and reads the report.
 """
+import random
+
+import pytest
+
 from leakyhurwitz import verify
+from leakyhurwitz.chambers import wall
 from leakyhurwitz.series import Q
 
 ZERO_AT = ((6,), (3, 1), 2, 1)        # an s=1 point of genus0_grid
@@ -54,3 +61,10 @@ def test_single_step_value_other_than_one_is_listed(monkeypatch):
     rep = run_with(monkeypatch, {ZERO_AT: Q(2)})
     assert rep.failures == ["mu=(6,) nu=(3, 1) k=2 s=1: value 2 != 1 "
                             "for a single step"]
+
+
+def test_adjacent_pair_search_names_a_wall_outside_the_arrangement():
+    with pytest.raises(ValueError) as err:
+        verify.find_adjacent_pair(wall((0,), (0,), 5), 2, 2, 2,
+                                  random.Random(1))
+    assert str(err.value) == "wall I=[1] J=[1] t=5 has t outside 0..2"
