@@ -123,10 +123,26 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+@lru_cache(maxsize=64)
+def _wall_masks(m, n, s):
+    """all_walls(m, n, s) as (I bitmask, J bitmask, t), in the same order."""
+    return tuple((sum(1 << i for i in w.I), sum(1 << j for j in w.J), w.t)
+                 for w in all_walls(m, n, s))
+
+
+def _subset_sums(parts):
+    """sums[mask] = the sum of the parts at the set bits of mask."""
+    sums = [0]
+    for p in parts:
+        sums += [x + p for x in sums]
+    return sums
+
+
 def sign_vector(point, s):
     """Signs of delta over all walls; equal nonzero vectors = same chamber."""
-    walls = all_walls(len(point.mu), len(point.nu), s)
-    return tuple(_sign(delta_of(w, point)) for w in walls)
+    a, b, k = _subset_sums(point.mu), _subset_sums(point.nu), point.k
+    return tuple(_sign(a[I] - b[J] - t * k)
+                 for I, J, t in _wall_masks(len(point.mu), len(point.nu), s))
 
 
 # -- chamber polynomials ----------------------------------------------

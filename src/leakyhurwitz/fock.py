@@ -5,6 +5,8 @@ evaluated symbolically: the leftmost negative-energy operator is commuted
 toward the left end, where it annihilates the covacuum.  Each commutation
 step branches into a swap and a merge; a merge multiplies the running
 series by an edge weight sigma(a z_B - b z_A) and fuses the two labels.
+A swap that leaves a prefix of negative energy (of zero energy, in a
+connected correlator) starts a branch that is zero, so it is cut there.
 A pair of energies a + b = 0 also leaves a central term: a for two
 bosons, sigma(a z_K)/sigma(z_K) otherwise, with z_K the sum of the
 pair's z-variables.  One recursion serves both kinds of correlator.
@@ -75,7 +77,7 @@ def insertion_op(energy, var):
 
 
 # A dict, not lru_cache, so _vev's early exits are not stored.  The
-# benchmark's sweep pass leaves 15,001 entries.
+# benchmark's sweep pass leaves 7,862 entries.
 _MEMO = {}
 _zero = lru_cache(maxsize=256)(TruncSeries.zero)
 
@@ -117,8 +119,15 @@ def _vev(seq, caps, connected):
         return _vev(canon, canon_caps, connected).relabel(order)
     a_op, b_op = seq[p - 1], seq[p]
     a, b = a_op.energy, b_op.energy
-    swapped = seq[:p - 1] + (b_op, a_op) + seq[p + 1:]
-    total = _vev(swapped, caps, connected)
+    # a prefix of negative energy (of zero energy, if connected) keeps
+    # its sum under every swap, merge and central removal until the
+    # annihilator reaches the covacuum, so the swap that makes one is dead
+    head = sum(op.energy for op in seq[:p - 1]) + b
+    if head < 0 or (head == 0 and connected):
+        total = _zero(caps)
+    else:
+        swapped = seq[:p - 1] + (b_op, a_op) + seq[p + 1:]
+        total = _vev(swapped, caps, connected)
     if a + b == 0 and (len(seq) == 2 or not connected):
         if not a_op.zvars and not b_op.zvars:
             central = TruncSeries.const(caps, Q(a))

@@ -312,12 +312,16 @@ def criterion_6():
         points = [p_plus, p_minus, double]
         points += [lattice_point(mu, nu, k) for mu, nu, k in extra]
         for point in points:
-            series = wall_crossing_series(w, point, r, s)
+            checked += 1
+            try:
+                series = wall_crossing_series(w, point, r, s)
+            except Exception as exc:
+                failures.append(f"{label} at {point}: series failed: {exc}")
+                continue
             jump = (f_plus.evaluate(point.mu, point.nu)
                     - f_minus.evaluate(point.mu, point.nu))
             genus0 = (wall_crossing_genus0(w, point)
                       if r == 1 and s == m + n - 2 else None)
-            checked += 1
             if series != jump or genus0 not in (None, series):
                 failures.append(f"{label} at {point}: series {series}, "
                                 f"poly jump {jump}, genus0 {genus0}")

@@ -11,6 +11,7 @@ from leakyhurwitz.chambers import (
     ChamberSampleError,
     LatticePoint,
     _h_factor,
+    _sign,
     _in_chamber_samples,
     all_walls,
     complement_wall,
@@ -51,6 +52,24 @@ class TestGeometry:
         assert sign_vector(lattice_point((5, 2), (3, 2), 1), 2)[idx] == 1
         assert sign_vector(lattice_point((4, 3), (4, 1), 1), 2)[idx] == -1
         assert sign_vector(lattice_point((4, 3), (3, 2), 1), 2)[idx] == 0
+
+    def test_sign_vector_is_the_sign_of_every_delta(self):
+        # the subset-sum table gives each wall's delta; small parts put
+        # many points on some wall, so zeros are covered too
+        rng = random.Random(3)
+        zeros = 0
+        for _ in range(300):
+            m, n, s = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+            mu = [rng.randint(1, 9) for _ in range(m)]
+            nu = [rng.randint(1, 9) for _ in range(n)]
+            if (sum(mu) - sum(nu)) % s:
+                continue
+            point = lattice_point(mu, nu, (sum(mu) - sum(nu)) // s)
+            want = tuple(_sign(delta_of(w, point))
+                         for w in all_walls(m, n, s))
+            assert sign_vector(point, s) == want
+            zeros += 0 in want
+        assert zeros > 20
 
     def test_wall_count(self):
         # (2^(m+n) - 2)(s + 1) walls: every subset pair except the two

@@ -1,7 +1,8 @@
-"""Criterion 10 reports a vanishing, negative or off-anchor value, and
-the adjacent-pair search names a wall outside the arrangement.
+"""Criterion 10 reports a vanishing, negative or off-anchor value,
+criterion 6 reports a crossing that raises, and the adjacent-pair search
+names a wall outside the arrangement.
 
-For criterion 10 the engine is replaced by a cheap stand-in that
+For criteria 10 and 6 the engine is replaced by a cheap stand-in that
 satisfies every part of the criterion, so each test plants one bad value
 and reads the report.
 """
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from leakyhurwitz import verify
-from leakyhurwitz.chambers import wall
+from leakyhurwitz.chambers import wall, wall_name
 from leakyhurwitz.series import Q
 
 ZERO_AT = ((6,), (3, 1), 2, 1)        # an s=1 point of genus0_grid
@@ -68,3 +69,38 @@ def test_adjacent_pair_search_names_a_wall_outside_the_arrangement():
         verify.find_adjacent_pair(wall((0,), (0,), 5), 2, 2, 2,
                                   random.Random(1))
     assert str(err.value) == "wall I=[1] J=[1] t=5 has t outside 0..2"
+
+
+class ZeroPoly:
+    def evaluate(self, mu, nu):
+        return Q(0)
+
+
+def test_criterion_6_lists_a_crossing_that_raises(monkeypatch):
+    # the series refuses the one-sided walls, as it once did; each of
+    # their points becomes a FAIL line naming the wall
+    def series(w, point, r, s):
+        m, n = len(point.mu), len(point.nu)
+        if not (w.I and w.J and len(w.I) < m and len(w.J) < n):
+            raise ValueError(f"wall {wall_name(w)} needs nonempty proper "
+                             f"index sets")
+        return Q(0)
+
+    monkeypatch.setattr(verify, "fit_chamber_polynomial",
+                        lambda point, r, s: ZeroPoly())
+    monkeypatch.setattr(verify, "wall_crossing_series", series)
+    monkeypatch.setattr(verify, "wall_crossing_genus0", lambda w, p: Q(0))
+    rep = verify.criterion_6()
+    assert not rep.ok
+    assert rep.checked == 37
+    assert rep.detail == "37 cases, 15 failing (first 10 listed)"
+    assert rep.failures[0] == (
+        "wall I=[] J=[1] t=1 m=1 n=3 r=2 at LatticePoint(mu=(4,), "
+        "nu=(13, 12, 11), k=-16): series failed: wall I=[] J=[1] t=1 "
+        "needs nonempty proper index sets")
+    # the first three one-sided rows, three points each, then the fourth
+    named = [f.split(" m=")[0] for f in rep.failures]
+    assert named == (["wall I=[] J=[1] t=1"] * 3
+                     + ["wall I=[2, 3] J=[] t=1"] * 3
+                     + ["wall I=[2] J=[] t=1"] * 3
+                     + ["wall I=[1] J=[1, 2] t=2"])
