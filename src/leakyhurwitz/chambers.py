@@ -25,12 +25,11 @@ from typing import NamedTuple
 from .series import Q, TruncSeries, sigma_over_sigma
 from .fock import (
     alpha_op,
-    canonical_partition,
-    check_query,
     connected_hurwitz,
     disconnected_vev_series,
     insertion_op,
 )
+from .numbers import canonical_partition, check_query
 
 
 class ChamberSampleError(RuntimeError):

@@ -18,7 +18,6 @@ import os
 import sys
 import time
 
-from .fock import commutation_tree_dot, hurwitz_sequence
 from .numbers import (
     HurwitzCache,
     _fock_cheaper,
@@ -28,8 +27,8 @@ from .numbers import (
     make_query,
 )
 
-# chambers, cutjoin and verify are imported inside the commands that use
-# them, so compute and table load only the modules they run
+# chambers, cutjoin, fock and verify are imported inside the commands
+# that use them, so compute and table load only the modules they run
 
 CACHE_ENV = "LEAKYHURWITZ_CACHE"
 RECORD_FORMATS = ("plain", "json", "csv")
@@ -388,6 +387,7 @@ def cmd_oracle_verify(args, out):
 
 
 def cmd_tree_dump(args, out):
+    from .fock import commutation_tree_dot, hurwitz_sequence
     mu = parse_list(args.mu, "--mu")
     nu = parse_list(args.nu, "--nu")
     s = resolve_s(args, len(mu), len(nu))

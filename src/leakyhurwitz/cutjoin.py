@@ -20,8 +20,7 @@ from .series import (
     sigma_series,
     unit_s_series,
 )
-from .fock import check_query
-from .numbers import _splits, aut_factor, partitions_of
+from .numbers import _splits, aut_factor, check_query, partitions_of
 from .oracle import oracle_disconnected
 
 

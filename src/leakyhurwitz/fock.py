@@ -22,6 +22,7 @@ z-variables; an insertion in variable i carries zvars={i}.  A
 zero-energy label is the corrected operator (vacuum expectation zero,
 no 1/sigma(z) tail); away from zero the corrected and plain operators
 are equal.  alpha_0 is central, so a zero-energy label needs a z-variable.
+Queries pass numbers.check_query, the library's one input check.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple
 
+from .numbers import check_query
 from .series import (
     Q,
     TruncSeries,
@@ -42,26 +44,6 @@ class EOp(NamedTuple):
     """One operator in a correlator sequence."""
     energy: int
     zvars: frozenset
-
-
-def canonical_partition(parts):
-    """Parts as a descending tuple of ints; a nonpositive part raises
-    ValueError and a non-integer part, such as 2.5, TypeError."""
-    parts = sorted(map(operator.index, parts), reverse=True)
-    if parts and parts[-1] <= 0:
-        raise ValueError("partition parts must be positive")
-    return tuple(parts)
-
-
-def check_query(mu, nu, k, r, s):
-    """The engine's one input check.  Returns (mu, nu, k, r, s) with both
-    partitions canonical; a non-integer k, r or s raises TypeError, and
-    an r below 1 or a negative s ValueError."""
-    mu, nu = canonical_partition(mu), canonical_partition(nu)
-    k, r, s = operator.index(k), operator.index(r), operator.index(s)
-    if r < 1 or s < 0:
-        raise ValueError("need r >= 1 and s >= 0")
-    return mu, nu, k, r, s
 
 
 def alpha_op(n):

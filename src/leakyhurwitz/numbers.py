@@ -1,10 +1,12 @@
-"""Public Hurwitz-number API.
+"""Public Hurwitz-number API and the one input check.
 
 Connected numbers come from the commutation engine; disconnected
 numbers assemble connected blocks over all ways to split the labeled
 parts, with the identical insertions distributed by counts.  evaluate
 sends a query to the integer Fock oracle instead where a shape-only
-cost rule finds that route clearly cheaper.  One-part numbers in genus
+cost rule finds that route clearly cheaper, and inverts the assembly
+there for a connected query; the engine (fock, and through it series)
+loads at the first query that needs it.  One-part numbers in genus
 zero have a fully closed polynomial; torus-corrected comparison numbers
 replace each insertion by its two-term correction.  A small
 line-oriented cache makes repeated CLI queries cheap.
@@ -17,17 +19,31 @@ import math
 import operator
 import os
 import time
+from fractions import Fraction as Q
 from functools import lru_cache
 from typing import NamedTuple
 
-from .series import Q
-from .fock import (
-    check_query,
-    connected_hurwitz,
-    disconnected_vev_series,
-    hurwitz_sequence,
-)
 from .oracle import oracle_disconnected
+
+
+def canonical_partition(parts):
+    """Parts as a descending tuple of ints; a nonpositive part raises
+    ValueError and a non-integer part, such as 2.5, TypeError."""
+    parts = sorted(map(operator.index, parts), reverse=True)
+    if parts and parts[-1] <= 0:
+        raise ValueError("partition parts must be positive")
+    return tuple(parts)
+
+
+def check_query(mu, nu, k, r, s):
+    """The library's one input check.  Returns (mu, nu, k, r, s) with
+    both partitions canonical; a non-integer k, r or s raises TypeError,
+    and an r below 1 or a negative s ValueError."""
+    mu, nu = canonical_partition(mu), canonical_partition(nu)
+    k, r, s = operator.index(k), operator.index(r), operator.index(s)
+    if r < 1 or s < 0:
+        raise ValueError("need r >= 1 and s >= 0")
+    return mu, nu, k, r, s
 
 
 @lru_cache(maxsize=1024)
@@ -103,8 +119,16 @@ class HurwitzResult(NamedTuple):
 
 # -- connected numbers with a small memo --------------------------------
 
+def _vanishes(mu, nu, k, r, s):
+    """True when the query is unbalanced or of half-integral genus."""
+    return sum(mu) != sum(nu) + s * k or (r * s - len(mu) - len(nu)) & 1
+
+
 @lru_cache(maxsize=8192)
 def connected_cached(mu, nu, k, r, s):
+    if _vanishes(mu, nu, k, r, s):
+        return Q(0)
+    from .fock import connected_hurwitz
     return connected_hurwitz(mu, nu, k, r, s)
 
 
@@ -143,7 +167,7 @@ def disconnected_hurwitz(mu, nu, k, r, s):
     zero.
     """
     mu, nu, k, r, s = check_query(mu, nu, k, r, s)
-    if sum(mu) != sum(nu) + s * k or (r * s - len(mu) - len(nu)) & 1:
+    if _vanishes(mu, nu, k, r, s):
         return Q(0)
     return _assembly(mu, nu, k, r, s)
 
@@ -153,6 +177,13 @@ def _assembly(mu, nu, k, r, s):
     """disconnected_hurwitz on canonical, balanced input."""
     if not mu and not nu:
         return Q(1) if s == 0 else Q(0)
+    return _block_sum(mu, nu, k, r, s, connected_cached, _assembly)
+
+
+def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
+    """Sum over the blocks holding the anchor part, each with j insertions,
+    of ways * C(s, j) * connected(block) * disconnected(rest); proper
+    leaves out the full block, whose term is the connected number."""
     # anchor the largest remaining mu part (nu part if mu is spent);
     # the spent side contributes () as its anchor and pool
     cut = 0 if mu else 1
@@ -175,12 +206,29 @@ def _assembly(mu, nu, k, r, s):
             for block_nu, rest_nu, ways_nu in fits:
                 if len(block_nu) > room or (room - len(block_nu)) & 1:
                     continue
-                piece = connected_cached(block_mu, block_nu, k, r, j)
+                if proper and j == s and not rest_mu and not rest_nu:
+                    continue
+                piece = connected(block_mu, block_nu, k, r, j)
                 if piece == 0:
                     continue
-                total += (Q(ways_mu * ways_nu * math.comb(s, j))
-                          * piece * _assembly(rest_mu, rest_nu, k, r, s - j))
+                total += (Q(ways_mu * ways_nu * math.comb(s, j)) * piece
+                          * disconnected(rest_mu, rest_nu, k, r, s - j))
     return total
+
+
+@lru_cache(maxsize=8192)
+def _connected_fock(mu, nu, k, r, s):
+    """connected_hurwitz by the Fock route: the oracle's disconnected
+    number less the proper blocks' terms, their connected numbers found
+    the same way.  One mu part with k >= 0, or one nu part with k <= 0,
+    leaves no proper block able to balance."""
+    if not mu and not nu:
+        return Q(0)
+    value = oracle_disconnected(nu, mu, -k, r, s)
+    if (len(mu) == 1 and k >= 0) or (len(nu) == 1 and k <= 0):
+        return value
+    return value - _block_sum(mu, nu, k, r, s, _connected_fock,
+                              oracle_disconnected, proper=True)
 
 
 # -- one-part closed form -----------------------------------------------
@@ -221,6 +269,7 @@ def cmr_leaky_r1(mu, nu, k, s, aut=False):
     extracted separately rather than collapsed binomially.  With
     aut=True the result also divides by |Aut mu| |Aut nu|.
     """
+    from .fock import disconnected_vev_series, hurwitz_sequence
     mu, nu, k, _, s = check_query(mu, nu, k, 1, s)
     if sum(mu) != sum(nu) + s * k:
         return Q(0)
@@ -323,15 +372,15 @@ class HurwitzCache:
             self._sep = b""
 
 
-# cold, an oracle state costs about a fifth of an engine term; memos warm
-# across a table bring that to a third, and win on the smallest queries
-_FOCK_SCALE = 3
+# cold, an oracle state costs about a fifth of an engine term; warm memos
+# narrow that, and the offset keeps the smallest queries on the engine
+_FOCK_SCALE = 4
 _FOCK_OFFSET = 30
 
 
 def _fock_cheaper(q):
-    """Shape-only route rule: True when oracle_disconnected gives q's
-    value and is clearly cheaper than the engine.
+    """Shape-only route rule: True when the oracle is clearly cheaper
+    than the engine.
 
     The engine's estimate E is a series of about (r+2)^s terms per step
     of a sequence of m+n+s operators.  The oracle's F bounds the states
@@ -339,17 +388,11 @@ def _fock_cheaper(q):
     partition of e, so F = p(|mu|) + sum_{j<s} p(|nu| + j k) + p(|nu|),
     the ket built from mu, the ket after each insertion and the bra
     built from nu; the oracle is taken when F + _FOCK_OFFSET <
-    _FOCK_SCALE E.  A connected query qualifies only where it equals the
-    disconnected one: one mu part with k >= 0 or one nu part with k <= 0
-    leaves no other block able to balance.  An unbalanced query, or one
-    of half-integral genus, is zero, and the engine returns that before
-    building anything.
+    _FOCK_SCALE E, connected or not.  An unbalanced query, or one of
+    half-integral genus, is zero, and the engine route returns that
+    before building anything.
     """
-    if (sum(q.mu) != sum(q.nu) + q.s * q.k
-            or (q.r * q.s - len(q.mu) - len(q.nu)) & 1):
-        return False
-    if q.connected and not ((len(q.mu) == 1 and q.k >= 0)
-                            or (len(q.nu) == 1 and q.k <= 0)):
+    if _vanishes(*q[:5]):
         return False
     budget = (_FOCK_SCALE * (q.r + 2) ** q.s
               * (len(q.mu) + len(q.nu) + q.s) - _FOCK_OFFSET)
@@ -373,10 +416,11 @@ def evaluate(q, cache=None):
     method = "cache"
     if value is None:
         if _fock_cheaper(q):
-            value = oracle_disconnected(q.nu, q.mu, -q.k, q.r, q.s)
+            value = (_connected_fock(*q[:5]) if q.connected
+                     else oracle_disconnected(q.nu, q.mu, -q.k, q.r, q.s))
             method = "fock"
         else:
-            route = connected_hurwitz if q.connected else disconnected_hurwitz
+            route = connected_cached if q.connected else disconnected_hurwitz
             value = route(q.mu, q.nu, q.k, q.r, q.s)
             method = "engine"
         if cache is not None:

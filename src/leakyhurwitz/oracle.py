@@ -25,11 +25,10 @@ holds at most ``_MOVE_CAP`` states, all dropped when that would be passed;
 """
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial
 from operator import index
-
-from .series import Q
 
 VACUUM = (0, 0)
 

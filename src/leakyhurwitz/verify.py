@@ -29,6 +29,7 @@ from .chambers import (
 from .cutjoin import verify_cut_and_join
 from .fock import connected_hurwitz
 from .numbers import (
+    _connected_fock,
     aut_factor,
     bounded_profiles,
     cmr_leaky_r1,
@@ -117,8 +118,10 @@ def criterion_2():
                    checked, failures)
 
 
-def oracle_sweep(max_size=8, max_s=3):
-    """Engine assembly vs the direct Fock oracle over a bounded grid.
+def oracle_sweep(max_size=8, max_s=3, engine=disconnected_hurwitz,
+                 fock=oracle_disconnected):
+    """An engine route against a Fock route over a bounded grid, by
+    default the disconnected assembly against the oracle.
 
     Covers every balanced (mu, nu, k, r, s) with |mu| <= max_size,
     s <= max_s, |k| <= 3, r in {1, 2}.  Returns (checked, failures).
@@ -134,8 +137,8 @@ def oracle_sweep(max_size=8, max_s=3):
                 for r in (1, 2):
                     for nu in partitions_of(b):
                         for mu in mus:
-                            lhs = disconnected_hurwitz(mu, nu, k, r, s)
-                            rhs = oracle_disconnected(mu, nu, k, r, s)
+                            lhs = engine(mu, nu, k, r, s)
+                            rhs = fock(mu, nu, k, r, s)
                             checked += 1
                             if lhs != rhs:
                                 failures.append(
@@ -145,10 +148,13 @@ def oracle_sweep(max_size=8, max_s=3):
 
 
 def criterion_3():
-    """Engine assembly equals the direct Fock oracle on the full grid."""
+    """Engine assembly equals the direct Fock oracle on the full grid,
+    and so do connected numbers, the oracle's by inverting the assembly."""
     t0 = time.perf_counter()
     checked, failures = oracle_sweep(8, 3)
-    return _report(3, "two-route oracle equivalence", t0, checked, failures)
+    more, wrong = oracle_sweep(8, 3, connected_hurwitz, _connected_fock)
+    return _report(3, "two-route oracle equivalence", t0, checked + more,
+                   failures + [f"connected {f}" for f in wrong])
 
 
 def _random_interior_points(rng, count):

@@ -49,16 +49,42 @@ LOADED = ("json.dumps(sorted(m for m in sys.modules "
 
 def test_cli_import_loads_only_the_modules_compute_uses():
     got = fresh(f"import json, leakyhurwitz.cli\nprint({LOADED})")
-    assert got == ["leakyhurwitz", "leakyhurwitz.cli", "leakyhurwitz.fock",
-                   "leakyhurwitz.numbers", "leakyhurwitz.oracle",
-                   "leakyhurwitz.series"]
+    assert got == ["leakyhurwitz", "leakyhurwitz.cli",
+                   "leakyhurwitz.numbers", "leakyhurwitz.oracle"]
 
 
 def test_oracle_import_shares_nothing_with_the_engine():
     # the two routes share nothing above the rational-number type
     got = fresh(f"import json, leakyhurwitz.oracle\nprint({LOADED})")
-    assert got == ["leakyhurwitz", "leakyhurwitz.oracle",
-                   "leakyhurwitz.series"]
+    assert got == ["leakyhurwitz", "leakyhurwitz.oracle"]
+
+
+ENGINE = ["leakyhurwitz.fock", "leakyhurwitz.series"]
+
+
+@pytest.mark.parametrize("argv,value,method,loaded", [
+    pytest.param("--mu 8,6,4 --nu 6,5,3 --k 1 --s 4", ["75737", "2"],
+                 "fock", [], id="fock-row"),
+    pytest.param("--mu 5 --nu 2 --k 1 --s 1", ["0", "1"], "engine", [],
+                 id="unbalanced"),
+    pytest.param("--mu 5 --nu 2 --k 1 --s 1 --connected", ["0", "1"],
+                 "engine", [], id="unbalanced-connected"),
+    pytest.param("--mu 24,16 --nu 20,12 --k 4 --s 2 --connected",
+                 ["44", "1"], "engine", ENGINE, id="engine-row"),
+])
+def test_compute_loads_the_engine_only_on_an_engine_row(argv, value, method,
+                                                        loaded):
+    got = fresh(
+        "import contextlib, io, json\n"
+        "from leakyhurwitz import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = cli.main(['compute', *{argv.split()!r}, '--format', "
+        "'json'])\n"
+        "rec = json.loads(out.getvalue())\n"
+        "print(json.dumps([rc, rec['num'], rec['den'], rec['method'],\n"
+        f"                  sorted(set(sys.modules) & set({ENGINE!r}))]))")
+    assert got == [0, *value, method, loaded]
 
 
 def test_every_export_resolves_and_star_import_binds_it():

@@ -1,5 +1,6 @@
 """Number-level API tests: disconnected assembly, one-part forms,
 torus-corrected numbers, cache, and query plumbing."""
+import itertools
 import json
 import os
 import pathlib
@@ -11,13 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from leakyhurwitz import numbers
 from leakyhurwitz.chambers import lattice_point, wall
-from leakyhurwitz.fock import canonical_partition, connected_hurwitz
+from leakyhurwitz.fock import connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
     _assembly,
+    _connected_fock,
     _fock_cheaper,
     _splits,
     aut_factor,
+    canonical_partition,
     cmr_leaky_r1,
     connected_cached,
     disconnected_hurwitz,
@@ -34,6 +37,11 @@ from leakyhurwitz.oracle import (
     oracle_disconnected,
 )
 from leakyhurwitz.series import Q, QZERO
+
+
+def route(q):
+    """The method evaluate names for a query it computes."""
+    return "fock" if _fock_cheaper(q) else "engine"
 
 
 def partitions_of(total, cap=None):
@@ -409,6 +417,7 @@ class TestRoute:
     @pytest.mark.parametrize("mu,nu,k", [
         ((12, 8), (10, 6), 2),
         ((20, 12), (16, 10), 3),
+        ((24, 16), (20, 12), 4),
     ])
     @pytest.mark.parametrize("connected", [True, False])
     def test_large_parts_at_two_insertions_stay_on_the_engine(
@@ -418,11 +427,15 @@ class TestRoute:
         if not connected:
             assert res.value == oracle_disconnected(mu, nu, k, 1, 2)
 
-    def test_one_nu_part_with_positive_k_stays_connected_on_the_engine(self):
+    def test_one_nu_part_with_positive_k_is_inverted_on_fock(self):
+        # a mu-only block balances here, so the connected number is not
+        # the disconnected one: the route must subtract the proper blocks
         q = make_query((3, 1, 1), (1,), 2, 2, 2)
-        assert _fock_cheaper(q._replace(connected=False))
-        assert not _fock_cheaper(q)
-        assert evaluate(q).value == Q(31, 12)
+        disc = evaluate(q._replace(connected=False))
+        assert disc.method == "fock" and disc.value == Q(43, 16)
+        res = evaluate(q)
+        assert res.method == "fock"
+        assert res.value == Q(31, 12) == connected_hurwitz(*q[:5])
 
     @pytest.mark.parametrize("mu,nu,r,s,value", [
         ((8, 6, 4), (6, 5, 3), 1, 4, Q(75737, 2)),
@@ -436,8 +449,28 @@ class TestRoute:
         assert res.method == "fock"
         assert res.value == value == disconnected_hurwitz(mu, nu, 1, r, s)
 
-    def test_connected_multi_part_ladder_rung_stays_on_the_engine(self):
-        assert evaluate(make_query((9, 3), (6, 2), 2, 1, 2)).method == "engine"
+    def test_connected_multi_part_ladder_rung_goes_to_fock(self):
+        q = make_query((9, 3), (6, 2), 2, 1, 2)
+        res = evaluate(q)
+        assert res.method == "fock"
+        assert res.value == 16 == connected_hurwitz(*q[:5])
+
+    def test_inversion_equals_the_engine_on_a_box(self):
+        # every balanced connected query of whole genus with |mu| <= 4,
+        # s <= 3, |k| <= 3, r in {1, 2}: the Fock route's inverted
+        # assembly against the engine's connected recursion
+        checked = 0
+        for a, s, k, r in itertools.product(range(5), range(4),
+                                            range(-3, 4), (1, 2)):
+            for mu in numbers.partitions_of(a):
+                for nu in numbers.partitions_of(a - s * k):
+                    if (r * s - len(mu) - len(nu)) & 1:
+                        continue
+                    assert (_connected_fock(mu, nu, k, r, s)
+                            == connected_hurwitz(mu, nu, k, r, s)), (
+                        mu, nu, k, r, s)
+                    checked += 1
+        assert checked == 2873
 
     @pytest.mark.parametrize("mu,nu,k,s,connected", [
         pytest.param((4, 4, 3, 3), (3, 2), 3, 3, False, id="half-genus"),
@@ -494,8 +527,7 @@ class TestRoute:
         res = evaluate(q)
         engine = connected_hurwitz if connected else disconnected_hurwitz
         assert res.value == engine(*q[:5])
-        if connected and len(q.mu) > 1 and len(q.nu) > 1:
-            assert res.method == "engine"
+        assert res.method == route(q)
 
 
 class TestCache:
@@ -504,8 +536,8 @@ class TestCache:
         cache = HurwitzCache(path)
         q = make_query((5,), (2, 2), 1, 1, 1)
         res = evaluate(q, cache)
-        assert res.method == "engine"
-        assert res.value == 1
+        assert res.method == route(q)
+        assert res.value == 1 == connected_hurwitz(*q[:5])
         reloaded = HurwitzCache(path)
         assert reloaded.lookup(q) == res.value
 
@@ -544,7 +576,7 @@ class TestCache:
         assert len(torn._mem) == 2
         assert [torn.lookup(q) for q in queries] == values[:2] + [None]
 
-        assert evaluate(queries[2], torn).method == "engine"
+        assert evaluate(queries[2], torn).method == route(queries[2])
         reloaded = HurwitzCache(str(path))
         assert reloaded.skipped == 1
         assert [reloaded.lookup(q) for q in queries] == values
@@ -627,5 +659,5 @@ class TestCache:
     def test_disconnected_method_tag(self):
         q = make_query((2, 2), (2,), 2, 1, 1, connected=False)
         res = evaluate(q)
-        assert res.method == "engine"
-        assert res.value == Q(9, 8)
+        assert res.method == route(q)
+        assert res.value == Q(9, 8) == disconnected_hurwitz(*q[:5])
