@@ -12,7 +12,6 @@ inputs; only the timing field varies between runs.
 """
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -20,11 +19,12 @@ import time
 
 from .numbers import (
     HurwitzCache,
+    HurwitzQuery,
     _fock_cheaper,
     bounded_profiles,
     evaluate,
-    genus_of,
     make_query,
+    twice_genus,
 )
 
 # chambers, cutjoin, fock and verify are imported inside the commands
@@ -144,48 +144,38 @@ def open_cache(args):
 
 # -- records -------------------------------------------------------------
 
-CSV_HEADER = ("mu", "nu", "k", "r", "s", "connected", "num", "den",
-              "genus", "method", "ms")
+CSV_HEADER = "mu,nu,k,r,s,connected,num,den,genus,method,ms\n"
 
 
-def number_record(res):
-    q = res.query
-    return {
-        "mu": list(q.mu), "nu": list(q.nu), "k": q.k, "r": q.r, "s": q.s,
-        "connected": q.connected,
-        "num": str(res.value.numerator),
-        "den": str(res.value.denominator),
-        "genus": str(genus_of(q)),
-        "method": res.method,
-        "ms": round(res.ms, 3),
-    }
-
-
-def emit_records(records, fmt, out):
-    if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow([
-                " ".join(str(p) for p in rec["mu"]),
-                " ".join(str(p) for p in rec["nu"]),
-                rec["k"], rec["r"], rec["s"],
-                "true" if rec["connected"] else "false",
-                rec["num"], rec["den"], rec["genus"], rec["method"],
-                rec["ms"],
-            ])
-    else:
-        for rec in records:
-            kind = "connected" if rec["connected"] else "disconnected"
+def emit_records(results, fmt, out):
+    """Write one record per result, each as soon as it is formatted.
+    Every field is an int, a bool, an ASCII decimal string, a fixed
+    identifier or a float written by repr, so no field needs escaping
+    and a JSON row is the bytes of json.dumps with compact separators."""
+    if fmt == "csv":
+        out.write(CSV_HEADER)
+    for res in results:
+        q, value, ms = res.query, res.value, round(res.ms, 3)
+        g2 = twice_genus(q)
+        genus = f"{g2}/2" if g2 & 1 else g2 >> 1
+        conn = "true" if q.connected else "false"
+        if fmt == "json":
+            out.write(f'{{"mu":[{",".join(map(str, q.mu))}],'
+                      f'"nu":[{",".join(map(str, q.nu))}],"k":{q.k},'
+                      f'"r":{q.r},"s":{q.s},"connected":{conn},'
+                      f'"num":"{value.numerator}",'
+                      f'"den":"{value.denominator}","genus":"{genus}",'
+                      f'"method":"{res.method}","ms":{ms!r}}}\n')
+        elif fmt == "csv":
+            out.write(f"{' '.join(map(str, q.mu))},{' '.join(map(str, q.nu))},"
+                      f"{q.k},{q.r},{q.s},{conn},{value.numerator},"
+                      f"{value.denominator},{genus},{res.method},{ms!r}\n")
+        else:
+            kind = "connected" if q.connected else "disconnected"
             out.write(
-                f"h(mu={rec['mu']}, nu={rec['nu']}, k={rec['k']}, "
-                f"r={rec['r']}, s={rec['s']}, {kind}) = "
-                f"{rec['num']}/{rec['den']}  "
-                f"[method={rec['method']} genus={rec['genus']} "
-                f"ms={rec['ms']}]\n")
+                f"h(mu={list(q.mu)}, nu={list(q.nu)}, k={q.k}, r={q.r}, "
+                f"s={q.s}, {kind}) = {value.numerator}/{value.denominator}  "
+                f"[method={res.method} genus={genus} ms={ms!r}]\n")
 
 
 # -- subcommands ---------------------------------------------------------
@@ -199,8 +189,8 @@ def cmd_compute(args, out):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     with open_cache(args) as cache:
-        rec = number_record(evaluate(q, cache))
-    emit_records([rec], args.format, out)
+        res = evaluate(q, cache)
+    emit_records([res], args.format, out)
     return 0
 
 
@@ -230,19 +220,21 @@ def cmd_table(args, out):
     # shortest first, ascending within a length
     profiles = [p for length in range(args.max_len + 1)
                 for p in reversed(bounded_profiles(args.max_part, length))]
-    queries = [make_query(mu, nu, k, args.r, s, args.connected)
-               for mu, nu, k in balanced_triples(
-                   profiles, range(args.k_min, args.k_max + 1), s)]
+    # one checked query gives r, s and connected; the profiles are
+    # canonical and k an int, so each row only puts in mu, nu and k
+    tail = make_query((), (), 0, args.r, s, args.connected)[3:]
     with open_cache(args) as cache:
         # without a cache file, an in-memory one serves each row whose dual
         # (nu, mu, -k) came earlier; that row still names its own route
         run = HurwitzCache() if cache is None else cache
-        records = [number_record(evaluate(q, run)) for q in queries]
+        results = [evaluate(HurwitzQuery(mu, nu, k, *tail), run)
+                   for mu, nu, k in balanced_triples(
+                       profiles, range(args.k_min, args.k_max + 1), s)]
     if cache is None:
-        for rec, q in zip(records, queries):
-            if rec["method"] == "cache":
-                rec["method"] = "fock" if _fock_cheaper(q) else "engine"
-    emit_records(records, args.format, out)
+        results = [res._replace(method="fock" if _fock_cheaper(res.query)
+                                else "engine")
+                   if res.method == "cache" else res for res in results]
+    emit_records(results, args.format, out)
     return 0
 
 

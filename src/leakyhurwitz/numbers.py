@@ -102,12 +102,17 @@ def make_query(mu, nu, k, r, s, connected=True):
     return HurwitzQuery(*check_query(mu, nu, k, r, s), bool(connected))
 
 
+def twice_genus(q):
+    """2g = r*s + 2 - m - n, from the ramification count."""
+    return q.r * q.s + 2 - len(q.mu) - len(q.nu)
+
+
 def genus_of(q):
-    """Genus from the ramification count: (r*s + 2 - m - n)/2.
+    """Genus, twice_genus(q)/2.
 
     May be half-integral; such queries evaluate to zero by parity.
     """
-    return Q(q.r * q.s + 2 - len(q.mu) - len(q.nu), 2)
+    return Q(twice_genus(q), 2)
 
 
 class HurwitzResult(NamedTuple):
@@ -217,6 +222,13 @@ def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
 
 
 @lru_cache(maxsize=8192)
+def _oracle_dual(mu, nu, k, r, s):
+    """oracle_disconnected on the dual query (nu, mu, -k), of the same
+    value; memoized, since the inversion meets each rest many times."""
+    return oracle_disconnected(nu, mu, -k, r, s)
+
+
+@lru_cache(maxsize=8192)
 def _connected_fock(mu, nu, k, r, s):
     """connected_hurwitz by the Fock route: the oracle's disconnected
     number less the proper blocks' terms, their connected numbers found
@@ -224,11 +236,11 @@ def _connected_fock(mu, nu, k, r, s):
     leaves no proper block able to balance."""
     if not mu and not nu:
         return Q(0)
-    value = oracle_disconnected(nu, mu, -k, r, s)
+    value = _oracle_dual(mu, nu, k, r, s)
     if (len(mu) == 1 and k >= 0) or (len(nu) == 1 and k <= 0):
         return value
     return value - _block_sum(mu, nu, k, r, s, _connected_fock,
-                              oracle_disconnected, proper=True)
+                              _oracle_dual, proper=True)
 
 
 # -- one-part closed form -----------------------------------------------
@@ -293,14 +305,17 @@ def cmr_leaky_r1(mu, nu, k, s, aut=False):
 class HurwitzCache:
     """Write-through cache of evaluated queries.
 
-    Records are newline-delimited JSON objects with decimal-string
-    numerator and denominator.  Lookups also try the swapped query
-    (nu, mu, -k), which has the same value.  Loaded keys pass the same
-    check_query as a query's.  A line that does not decode to a full
-    record, such as the tail of an append cut short, that fails that
-    check, such as a part that is not a positive integer or r = 0, or
-    whose connected is not a bool or whose num or den is not a string,
-    is skipped and counted in skipped.  A directory, or a path in a
+    Records are newline-delimited JSON objects, in the bytes of
+    json.dumps(record, sort_keys=True), with decimal-string numerator
+    and denominator.  Lookups also try the swapped query (nu, mu, -k),
+    which has the same value.  A line is skipped and counted in skipped
+    when it does not decode to a full record (such as the tail of an
+    append cut short), when its key fails check_query (a part that is
+    not positive, r = 0), or when it is mistyped: mu or nu not a list,
+    k, r, s or a part not a JSON integer (booleans index as 0 or 1),
+    connected not a bool, num not an ASCII decimal string with an
+    optional minus or den not a positive one (int() takes "1_000",
+    " 12 " and non-ASCII digits).  A directory, or a path in a
     directory that does not exist, raises OSError here.  The file is
     opened for appending once, at the first store, so a cache that only
     serves lookups needs no write access and is not created.
@@ -330,13 +345,18 @@ class HurwitzCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    connected, num, den = (rec["connected"], rec["num"],
-                                           rec["den"])
-                    if not (isinstance(connected, bool)
-                            and isinstance(num, str) and isinstance(den, str)):
+                    mu, nu, k, r, s, connected, num, den = (
+                        rec["mu"], rec["nu"], rec["k"], rec["r"], rec["s"],
+                        rec["connected"], rec["num"], rec["den"])
+                    if not (set(map(type, (k, r, s, *mu, *nu))) == {int}
+                            and type(mu) is type(nu) is list
+                            and type(connected) is bool
+                            and type(num) is type(den) is str
+                            and num.isascii() and den.isascii()
+                            and num.removeprefix("-").isdecimal()
+                            and den.isdecimal()):
                         raise TypeError("mistyped cache record")
-                    key = (*check_query(rec["mu"], rec["nu"], rec["k"],
-                                        rec["r"], rec["s"]), connected)
+                    key = (*check_query(mu, nu, k, r, s), connected)
                     self._mem[key] = Q(int(num), int(den))
                 except (ValueError, KeyError, TypeError, ZeroDivisionError):
                     self.skipped += 1
@@ -364,10 +384,13 @@ class HurwitzCache:
         if self._path:
             if self._fh is None:
                 self._fh = open(self._path, "ab")
-            rec = dict(q._asdict(), num=str(value.numerator),
-                       den=str(value.denominator))
-            self._fh.write(self._sep
-                           + (json.dumps(rec, sort_keys=True) + "\n").encode())
+            # the bytes of json.dumps(record, sort_keys=True)
+            conn = "true" if q.connected else "false"
+            self._fh.write(self._sep + (
+                f'{{"connected": {conn}, "den": "{value.denominator}", '
+                f'"k": {q.k}, "mu": {list(q.mu)}, "nu": {list(q.nu)}, '
+                f'"num": "{value.numerator}", "r": {q.r}, "s": {q.s}}}\n'
+            ).encode())
             self._fh.flush()
             self._sep = b""
 

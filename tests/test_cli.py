@@ -1,20 +1,26 @@
 """Command-line interface: records, formats, exit codes, caching."""
 import argparse
 import contextlib
+import csv
 import io
 import json
+import os
 import pathlib
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leakyhurwitz import numbers
-from leakyhurwitz.cli import balanced_triples, build_parser, main
-from leakyhurwitz.numbers import bounded_profiles, evaluate, make_query
+from leakyhurwitz import cli, numbers
+from leakyhurwitz.cli import (balanced_triples, build_parser, emit_records,
+                              main)
+from leakyhurwitz.numbers import (HurwitzCache, HurwitzResult,
+                                  bounded_profiles, evaluate, make_query)
 
 ONE_PART = ["--mu", "5", "--nu", "1,1,1", "--k", "1", "--r", "1", "--s", "2"]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -22,6 +28,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def strip_ms(text):
     return re.sub(r'("ms":|ms=)[0-9.]+', r"\g<1>0", text)
+
+
+def strip_csv_ms(text):
+    return re.sub(r",[0-9.]+$", ",0", text, flags=re.M)
 
 
 class TestCompute:
@@ -189,6 +199,27 @@ class TestTable:
         assert first == (GOLDEN / "table_grid.json").read_text(
             encoding="utf-8")
 
+    @pytest.mark.parametrize("fmt,name,strip", [
+        ("csv", "table_grid.csv", strip_csv_ms),
+        ("plain", "table_grid.txt", strip_ms),
+    ])
+    def test_grid_matches_the_golden_text(self, capsys, fmt, name, strip):
+        assert main([*self.GRID, "--format", fmt]) == 0
+        assert strip(capsys.readouterr().out) == (GOLDEN / name).read_text(
+            encoding="utf-8")
+
+    def test_box_and_its_cache_file_match_the_golden(self, tmp_path, capsys):
+        # disconnected, with negative k, the empty profile, half-integral
+        # genus and rows served by their dual's cache record
+        path = tmp_path / "cache.jsonl"
+        assert main(["table", "--max-part", "3", "--max-len", "2",
+                     "--k-min", "-2", "--k-max", "2", "--s", "2",
+                     "--format", "json", "--cache", str(path)]) == 0
+        assert strip_ms(capsys.readouterr().out) == (
+            GOLDEN / "table_box_s2.json").read_text(encoding="utf-8")
+        assert path.read_bytes() == (
+            GOLDEN / "table_box_s2_cache.jsonl").read_bytes()
+
     def test_without_a_cache_a_dual_row_reuses_its_value(
             self, capsys, monkeypatch):
         # one route call per row whose dual (nu, mu, -k) did not come
@@ -218,6 +249,18 @@ class TestTable:
         assert {row["method"] for row in rows} == {"fock", "engine"}
         assert routed == fresh < len(rows)
 
+    @pytest.mark.parametrize("flags", [
+        ["--s", "3"], ["--connected", "--r", "2", "--s", "2"]])
+    def test_every_row_is_a_checked_query(self, monkeypatch, capsys, flags):
+        seen = []
+        monkeypatch.setattr(cli, "evaluate", lambda q, cache: (
+            seen.append(q), evaluate(q, cache))[1])
+        assert main(["table", "--max-part", "3", "--max-len", "3",
+                     "--k-min", "-2", "--k-max", "2", *flags]) == 0
+        assert len(seen) == len(capsys.readouterr().out.splitlines()) > 0
+        for q in seen:
+            assert repr(q) == repr(make_query(*q))
+
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
     def test_balanced_triples_match_the_full_scan(self, s):
         profiles = [p for length in range(4)
@@ -227,6 +270,77 @@ class TestTable:
                 for k in ks if sum(mu) == sum(nu) + s * k]
         assert list(balanced_triples(profiles, ks, s)) == scan
         assert any(k < 0 for _, _, k in scan)
+
+
+def reference_record(res):
+    """A result's record as the json and csv modules write it, with the
+    genus from genus_of."""
+    q = res.query
+    return {"mu": list(q.mu), "nu": list(q.nu), "k": q.k, "r": q.r,
+            "s": q.s, "connected": q.connected,
+            "num": str(res.value.numerator),
+            "den": str(res.value.denominator),
+            "genus": str(numbers.genus_of(q)), "method": res.method,
+            "ms": round(res.ms, 3)}
+
+
+WRITER_PARTS = st.lists(st.integers(1, 40), max_size=5)
+RESULTS = st.builds(
+    lambda q, num, den, method, ms: HurwitzResult(Q(num, den), q, method, ms),
+    st.builds(make_query, WRITER_PARTS, WRITER_PARTS, st.integers(-50, 50),
+              st.integers(1, 5), st.integers(0, 6), st.booleans()),
+    st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40),
+    st.sampled_from(["cache", "fock", "engine"]),
+    st.one_of(st.sampled_from([0.0, 0.001, 12345.678]), st.floats(0, 1e7)))
+
+
+class TestWriters:
+    """The row and cache writers give the json and csv modules' bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RESULTS)
+    def test_records_are_the_reference_bytes(self, res):
+        rec = reference_record(res)
+        want = {
+            "json": json.dumps(rec, separators=(",", ":")) + "\n",
+            "plain": (
+                f"h(mu={rec['mu']}, nu={rec['nu']}, k={rec['k']}, "
+                f"r={rec['r']}, s={rec['s']}, "
+                f"{'connected' if rec['connected'] else 'disconnected'}) = "
+                f"{rec['num']}/{rec['den']}  [method={rec['method']} "
+                f"genus={rec['genus']} ms={rec['ms']}]\n"),
+        }
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows([
+            ["mu", "nu", "k", "r", "s", "connected", "num", "den", "genus",
+             "method", "ms"],
+            [" ".join(map(str, rec["mu"])), " ".join(map(str, rec["nu"])),
+             rec["k"], rec["r"], rec["s"],
+             "true" if rec["connected"] else "false", rec["num"],
+             rec["den"], rec["genus"], rec["method"], rec["ms"]]])
+        want["csv"] = rows.getvalue()
+        for fmt, text in want.items():
+            out = io.StringIO()
+            emit_records([res], fmt, out)
+            assert out.getvalue() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(RESULTS)
+    def test_cache_line_is_the_reference_bytes_and_loads(self, res):
+        q = res.query
+        rec = dict(q._asdict(), num=str(res.value.numerator),
+                   den=str(res.value.denominator))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            cache = HurwitzCache(path)
+            cache.store(q, res.value)
+            cache.close()
+            with open(path, "rb") as fh:
+                assert fh.read() == (json.dumps(rec, sort_keys=True)
+                                     + "\n").encode()
+            reloaded = HurwitzCache(path)
+        assert reloaded.skipped == 0
+        assert reloaded.lookup(q) == res.value
 
 
 class TestChamberFit:

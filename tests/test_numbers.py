@@ -600,6 +600,18 @@ class TestCache:
         pytest.param({"connected": [False]}, id="connected-list"),
         pytest.param({"num": 2.7}, id="num-float"),
         pytest.param({"den": True}, id="den-bool"),
+        pytest.param({"mu": [True, 2]}, id="mu-bool"),
+        pytest.param({"mu": "3"}, id="mu-string"),
+        pytest.param({"mu": [], "nu": {}, "k": 0, "s": 0}, id="nu-object"),
+        pytest.param({"k": False}, id="k-bool"),
+        pytest.param({"r": True}, id="r-bool"),
+        pytest.param({"s": True}, id="s-bool"),
+        pytest.param({"num": "1_000"}, id="num-underscore"),
+        pytest.param({"num": " 1 "}, id="num-spaces"),
+        pytest.param({"num": "+1"}, id="num-plus"),
+        pytest.param({"num": "\u0661"}, id="num-arabic-indic"),
+        pytest.param({"den": "0"}, id="den0"),
+        pytest.param({"den": "-1"}, id="den-negative"),
     ])
     def test_record_with_a_bad_part_is_skipped(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
@@ -609,6 +621,32 @@ class TestCache:
         cache = HurwitzCache(str(path))
         assert cache.skipped == 1
         assert cache.lookup(make_query((3,), (3,), 0, 1, 1)) is None
+
+    def test_records_that_int_would_accept_are_skipped(self, tmp_path):
+        # int() takes underscores, spaces and non-ASCII digits, and a
+        # bool indexes as 0 or 1; each record would otherwise be served
+        base = {"nu": [3], "k": 0, "r": 1, "s": 0, "connected": True,
+                "num": "7", "den": "1"}
+        records = [{**base, "mu": [True, 2]},
+                   {**base, "mu": [3], "k": True, "s": 1},
+                   {**base, "mu": [3], "num": "1_000"},
+                   {**base, "mu": [3], "num": " 12 ", "den": "\u0663"}]
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        cache = HurwitzCache(str(path))
+        assert cache.skipped == 4 and not cache._mem
+        assert cache.lookup(make_query((2, 1), (3,), 0, 1, 0)) is None
+        assert cache.lookup(make_query((3,), (3,), 1, 1, 1)) is None
+        assert cache.lookup(make_query((3,), (3,), 0, 1, 0)) is None
+
+    def test_negative_and_unreduced_values_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        rec = {"mu": [3], "nu": [3], "k": 0, "r": 1, "s": 0,
+               "connected": True, "num": "-6", "den": "04"}
+        path.write_text(json.dumps(rec) + "\n")
+        cache = HurwitzCache(str(path))
+        assert cache.skipped == 0
+        assert cache.lookup(make_query((3,), (3,), 0, 1, 0)) == Q(-3, 2)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
