@@ -433,6 +433,14 @@ CHAMBER_GOLDEN_ARGV = [
      "--r", "2", "--s", "1"],
     ["chamber-fit", "--mu", "9,3", "--nu", "6,2", "--k", "2",
      "--r", "2", "--s", "2"],
+    # larger fits: degree 5 in four parts at s = 4 and at r = 3 (genus
+    # 2), and a chamber beside a one-sided wall
+    ["chamber-fit", "--mu", "11,7", "--nu", "14,12", "--k", "-2",
+     "--r", "1", "--s", "4"],
+    ["chamber-fit", "--mu", "11,5", "--nu", "8,4", "--k", "2",
+     "--r", "3", "--s", "2"],
+    ["chamber-fit", "--mu", "4", "--nu", "13,12,11", "--k", "-16",
+     "--r", "2", "--s", "2"],
     ["wall-cross", "--mu", "9,3", "--nu", "6,2", "--k", "2",
      "--r", "1", "--s", "2", "--wall-I", "1", "--wall-J", "1",
      "--wall-t", "1"],
