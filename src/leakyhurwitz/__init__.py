@@ -30,11 +30,10 @@ from importlib import import_module
 
 # home module -> the names it exports here
 _HOMES = {
-    "chambers": ("ChamberFitError", "ChamberPoly", "ChamberSampleError",
-                 "LatticePoint", "Wall", "all_walls", "complement_wall",
-                 "delta_of", "fit_chamber_polynomial", "lattice_point",
-                 "sign_vector", "wall", "wall_crossing_genus0",
-                 "wall_crossing_series"),
+    "chambers": ("ChamberFitError", "ChamberPoly", "LatticePoint", "Wall",
+                 "all_walls", "complement_wall", "delta_of",
+                 "fit_chamber_polynomial", "lattice_point", "sign_vector",
+                 "wall", "wall_crossing_genus0", "wall_crossing_series"),
     "cutjoin": ("verify_cut_and_join",),
     "fock": ("commutation_tree_dot", "connected_hurwitz", "hurwitz_sequence"),
     "numbers": ("HurwitzCache", "HurwitzQuery", "HurwitzResult",

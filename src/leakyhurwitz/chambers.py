@@ -7,11 +7,12 @@ records a way an intermediate operator of the commutation algorithm can
 reach energy zero, so I or J may be empty or full (only the two pairs
 whose hyperplane degenerates to k = 0 are excluded).  On each open
 chamber the connected number is a polynomial in the parts (k
-eliminated through the energy balance); the fit reduces integer
-monomial rows of in-chamber lattice samples by fraction-free
-elimination and must reproduce held-out samples exactly.  Wall
-crossings are computed both from fitted polynomial differences and
-from the quadratic formula in smaller correlators.
+eliminated through the energy balance); the fit interpolates engine
+values on a lattice simplex deep inside the chamber in Newton form,
+every degree up to the bound included, and must reproduce held-out
+points exactly.  Wall crossings are computed both from fitted
+polynomial differences and from the quadratic formula in smaller
+correlators.
 """
 from __future__ import annotations
 
@@ -30,10 +31,6 @@ from .fock import (
     insertion_op,
 )
 from .numbers import canonical_partition, check_query
-
-
-class ChamberSampleError(RuntimeError):
-    """Could not collect enough independent in-chamber sample points."""
 
 
 class ChamberFitError(RuntimeError):
@@ -150,8 +147,9 @@ class ChamberPoly(NamedTuple):
     """Exact polynomial in the m+n parts, valid on one chamber.
 
     coeffs maps exponent tuples (mu exponents then nu exponents) to
-    rational coefficients.  degree is the a-priori bound
-    (r+1)s + 1 - m - n; only total degrees degree, degree-2, ... occur.
+    nonzero rational coefficients.  degree is the a-priori bound
+    (r+1)s + 1 - m - n; the fit allows every degree up to it, and
+    criterion 5 checks that only degree, degree-2, ... occur.
     """
     m: int
     n: int
@@ -187,79 +185,29 @@ class ChamberPoly(NamedTuple):
         return deg
 
 
-def _parity_monomials(nvars, degree):
-    """Exponent tuples of total degree degree, degree-2, ..., >= 0."""
-    out = []
-    d = degree
-    while d >= 0:
-        for c in itertools.combinations_with_replacement(range(nvars), d):
-            exps = [0] * nvars
-            for i in c:
-                exps[i] += 1
-            out.append(tuple(exps))
-        d -= 2
-    return out
+def _shifts(nvars, total):
+    """Exponent tuples e >= 0 of nvars entries with |e| = total."""
+    for c in itertools.combinations_with_replacement(range(nvars), total):
+        yield tuple(c.count(i) for i in range(nvars))
 
 
-# fresh draws in a row after which the sampler gives up
-GIVE_UP = 4000
 # held-out points checked after the fit
 HOLDOUT = 5
 
 
-def _in_chamber_samples(base, s, signs, rng):
-    """Yield distinct in-chamber lattice points near base, without end.
-
-    Samples perturb integer scalings of the base.  Scaling multiplies
-    every wall delta by the scale while a radius-rho perturbation of
-    the parts moves any delta by at most 2*rho*(m+n) (the slope bound
-    of sum(mu_I) - sum(nu_J) - t*k with k recomputed from the balance),
-    so choosing scale > 2*radius*(m+n) keeps the whole perturbation box
-    strictly inside the chamber.  GIVE_UP draws in a row that yield no
-    new point raise ChamberSampleError.
-    """
-    m, n = len(base.mu), len(base.nu)
-    seen = set()
-    attempts = misses = 0
-    margin = 2 * (m + n)
-    while True:
-        if misses >= GIVE_UP:
-            raise ChamberSampleError(
-                f"gave up after {misses} draws in a row without a new "
-                f"point ({len(seen)} found)")
-        attempts += 1
-        misses += 1
-        step = 1 + attempts // 400
-        radius = 1 + step
-        scale = margin * (2 + step)
-        mu = tuple(p * scale + rng.randint(-radius, radius) for p in base.mu)
-        nu = tuple(p * scale + rng.randint(-radius, radius) for p in base.nu)
-        if any(p <= 0 for p in mu + nu):
-            continue
-        if (sum(mu) - sum(nu)) % s != 0:
-            continue
-        k = (sum(mu) - sum(nu)) // s
-        cand = LatticePoint(tuple(sorted(mu, reverse=True)),
-                            tuple(sorted(nu, reverse=True)), k)
-        if cand in seen:
-            continue
-        if sign_vector(cand, s) != signs:
-            continue
-        seen.add(cand)
-        misses = 0
-        yield cand
-
-
 def fit_chamber_polynomial(base, r, s, rng=None):
-    """Fit the chamber polynomial through exact interpolation.
+    """Fit the chamber polynomial by Newton interpolation.
 
-    Draws in-chamber lattice points with the same sign vector as base
-    from one stream and reduces each integer monomial row (degrees D,
-    D-2, ... only) against the rows kept so far by Bareiss's
-    fraction-free steps; a row that stays nonzero is kept, with its
-    engine value reduced alongside.  At full rank back-substitution
-    gives the unique interpolant, and the next HOLDOUT points of the
-    stream must match it exactly, or ChamberFitError is raised.
+    The grid is origin + s*e over every e >= 0 with |e| <= D, the degree
+    bound, where origin = (2s(D+2)+1) * base.  A wall delta is a nonzero
+    integer at base and a shift s*e moves it by at most 2s|e|, so every
+    point with |e| <= D+2 is balanced and strictly inside the chamber.
+    Forward differences of the engine values along each variable in turn
+    give the Newton coefficients c_e = Delta^e f(origin), and the Newton
+    form sum_e c_e prod_i binom((x_i - origin_i)/s, e_i) is expanded into
+    monomials of every degree up to D: parity gaps are found, not assumed.
+    HOLDOUT points at |e| = D+1 or D+2, drawn from rng, must then match
+    exactly, or ChamberFitError is raised.
     """
     mu, nu, k, r, s = check_query(*base, r, s)
     base = LatticePoint(mu, nu, k)
@@ -276,38 +224,45 @@ def fit_chamber_polynomial(base, r, s, rng=None):
     if degree < 0 or (r * s + m + n) % 2:
         return ChamberPoly(m, n, r, s, degree, {}, base, signs)
     rng = rng if rng is not None else random.Random(20240 + degree)
-    monomials = _parity_monomials(m + n, degree)
-    nmono = len(monomials)
+    nvars = m + n
+    origin = [(2 * s * (degree + 2) + 1) * p for p in base.mu + base.nu]
 
-    # (pivot, row, value): integer rows, each zero on the pivots of
-    # earlier ones; a Bareiss step divides exactly by the previous pivot
-    reduced = []
-    samples = _in_chamber_samples(base, s, signs, rng)
-    for cand in samples:
-        coords = cand.mu + cand.nu
-        row = [math.prod(map(pow, coords, e)) for e in monomials]
-        prev, shift = 1, Q(0)
-        for piv, red, val in reduced:
-            p, f = red[piv], row[piv]
-            row = [(p * x - f * y) // prev for x, y in zip(row, red)]
-            shift = (p * shift + f * val) / prev
-            prev = p
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        value = connected_hurwitz(cand.mu, cand.nu, cand.k, r, s)
-        reduced.append((piv, row, prev * value - shift))
-        if len(reduced) == nmono:
-            break
+    def point_at(e):
+        parts = [o + s * x for o, x in zip(origin, e)]
+        return lattice_point(parts[:m], parts[m:],
+                             (sum(parts[:m]) - sum(parts[m:])) // s)
 
-    sol = [Q(0)] * nmono
-    for piv, red, val in reversed(reduced):
-        sol[piv] = (val - sum(map(operator.mul, red, sol))) / red[piv]
-    coeffs = {e: c for e, c in zip(monomials, sol) if c != 0}
-    poly = ChamberPoly(m, n, r, s, degree, coeffs, base, signs)
+    grid = [e for d in range(degree + 1) for e in _shifts(nvars, d)]
+    diff = {e: connected_hurwitz(*point_at(e), r, s) for e in grid}
+    for i in range(nvars):
+        for j in range(1, degree + 1):
+            # the j-th differences along i; highest |e| first, so each
+            # step reads diff at e - e_i before that value changes
+            for e in reversed(grid):
+                if e[i] >= j:
+                    diff[e] -= diff[e[:i] + (e[i] - 1,) + e[i + 1:]]
 
-    for cand in itertools.islice(samples, HOLDOUT):
-        expect = connected_hurwitz(cand.mu, cand.nu, cand.k, r, s)
+    caps = (degree,) * nvars
+    # the product of factors[i][:d] is binom((x_i - origin_i)/s, d)
+    factors = [[(TruncSeries.from_form([int(v == i) for v in range(nvars)],
+                                       caps)
+                 + TruncSeries.const(caps, -origin[i] - j * s))
+                * Q(1, s * (j + 1)) for j in range(degree)]
+               for i in range(nvars)]
+    total = TruncSeries.zero(caps)
+    for e, c in diff.items():
+        term = TruncSeries.const(caps, c)
+        for i, d in enumerate(e):
+            for factor in factors[i][:d]:
+                term = term * factor
+        total = total + term
+    poly = ChamberPoly(m, n, r, s, degree, dict(total.terms.items()), base,
+                       signs)
+
+    pool = [e for d in (degree + 1, degree + 2) for e in _shifts(nvars, d)]
+    for e in rng.sample(pool, min(HOLDOUT, len(pool))):
+        cand = point_at(e)
+        expect = connected_hurwitz(*cand, r, s)
         got = poly.evaluate(cand.mu, cand.nu)
         if got != expect:
             raise ChamberFitError(

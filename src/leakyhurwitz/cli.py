@@ -239,9 +239,8 @@ def cmd_table(args, out):
 
 
 def cmd_chamber_fit(args, out):
-    from .chambers import (ChamberFitError, ChamberSampleError,
-                           fit_chamber_polynomial, format_chamber_report,
-                           lattice_point)
+    from .chambers import (ChamberFitError, fit_chamber_polynomial,
+                           format_chamber_report, lattice_point)
     mu = parse_list(args.mu, "--mu")
     nu = parse_list(args.nu, "--nu")
     if not mu or not nu:
@@ -256,7 +255,7 @@ def cmd_chamber_fit(args, out):
         poly = fit_chamber_polynomial(base, args.r, s)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except (ChamberFitError, ChamberSampleError) as exc:
+    except ChamberFitError as exc:
         print(f"chamber fit failed: {exc}", file=sys.stderr)
         return 1
     ms = round((time.perf_counter() - start) * 1000.0, 3)

@@ -207,8 +207,27 @@ CHAMBER_BASES = (
 )
 
 
+def _doubled(point):
+    return lattice_point(tuple(2 * p for p in point.mu),
+                         tuple(2 * p for p in point.nu), 2 * point.k)
+
+
+def _fock_mismatches(poly, point, r, s, label):
+    """The fitted polynomial against the Fock route's connected number at
+    point and at the doubled point.  A chamber is an open cone, so both
+    lie in the fitted chamber."""
+    out = []
+    for p in (point, _doubled(point)):
+        got = poly.evaluate(p.mu, p.nu)
+        fock = _connected_fock(p.mu, p.nu, p.k, r, s)
+        if got != fock:
+            out.append(f"{label} at {p}: polynomial {got} != Fock {fock}")
+    return out
+
+
 def criterion_5():
-    """Chamber fits: degree bound, parity gaps, exact held-out points."""
+    """Chamber fits: degree bound, parity gaps found by a fit of every
+    degree, exact held-out points, the Fock route at base and 2 * base."""
     t0 = time.perf_counter()
     checked, failures = 0, []
     for r, s, (mu, nu, k) in CHAMBER_BASES:
@@ -217,9 +236,11 @@ def criterion_5():
         checked += 1
         try:
             poly = fit_chamber_polynomial(base, r, s)
-        except Exception as exc:  # held-out mismatch or sampling failure
+        except Exception as exc:  # held-out mismatch
             failures.append(f"{label}: {exc}")
             continue
+        checked += 2
+        failures += _fock_mismatches(poly, base, r, s, label)
         bound = (r + 1) * s + 1 - len(base.mu) - len(base.nu)
         if poly.degree != bound or poly.realized_degree() > bound:
             failures.append(f"{label}: degree {poly.realized_degree()} "
@@ -278,7 +299,8 @@ K1_EVAL_POINT = ((9, 3), (5, 5), 1)
 
 def criterion_6():
     """Wall crossing: series = fitted-polynomial jump, and = genus-0 form
-    where r = 1 and s = m+n-2."""
+    where r = 1 and s = m+n-2; each fit meets the Fock route at its pair
+    point and the doubled point."""
     t0 = time.perf_counter()
     rng = random.Random(61)
     cases = [
@@ -312,10 +334,10 @@ def criterion_6():
         except Exception as exc:
             failures.append(f"{label}: fit failed: {exc}")
             continue
-        double = lattice_point(tuple(2 * p for p in p_plus.mu),
-                               tuple(2 * p for p in p_plus.nu),
-                               2 * p_plus.k)
-        points = [p_plus, p_minus, double]
+        checked += 4
+        failures += _fock_mismatches(f_plus, p_plus, r, s, label)
+        failures += _fock_mismatches(f_minus, p_minus, r, s, label)
+        points = [p_plus, p_minus, _doubled(p_plus)]
         points += [lattice_point(mu, nu, k) for mu, nu, k in extra]
         for point in points:
             checked += 1

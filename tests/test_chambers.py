@@ -8,11 +8,9 @@ import pytest
 from leakyhurwitz import chambers
 from leakyhurwitz.chambers import (
     ChamberFitError,
-    ChamberSampleError,
     LatticePoint,
     _h_factor,
     _sign,
-    _in_chamber_samples,
     all_walls,
     complement_wall,
     delta_of,
@@ -188,33 +186,29 @@ class TestChamberFit:
         with pytest.raises(ValueError, match="need r >= 1 and s >= 0"):
             fn(*args, r, s)
 
-    def test_sampler_gives_up_on_impossible_signs(self):
-        impossible = (1,) * len(all_walls(2, 2, 2))
-        gen = _in_chamber_samples(C_PLUS, 2, impossible, random.Random(7))
-        with pytest.raises(ChamberSampleError):
-            next(gen)
-
     def test_held_out_mismatch_raises(self, monkeypatch):
-        # C_PLUS at r=1, s=2 fits 4 monomials from 4 engine calls; every
-        # later call, a held-out check, reads one too high
+        # C_PLUS at r=1, s=2 has degree bound 1 in four parts: a grid of
+        # 5 engine calls; every later call, a held-out check, reads one
+        # too high, so the first of them fails the fit
         calls = []
 
         def off_by_one(mu, nu, k, r, s):
             calls.append((mu, nu, k))
             value = connected_hurwitz(mu, nu, k, r, s)
-            return value + 1 if len(calls) > 4 else value
+            return value + 1 if len(calls) > 5 else value
 
         monkeypatch.setattr(chambers, "connected_hurwitz", off_by_one)
         with pytest.raises(ChamberFitError, match="held-out point"):
             fit_chamber_polynomial(C_PLUS, 1, 2)
-        assert len(calls) == 5
+        assert len(calls) == 6
 
     def test_solver_recovers_a_dense_rational_polynomial(self, monkeypatch):
-        # every monomial of degree 5, 3 or 1 in four parts, each with a
-        # non-integer coefficient: the fit must return exactly these,
-        # asking for one value per monomial and one per held-out point
+        # every monomial of degree <= 5 in four parts, off-parity ones
+        # included, each with a non-integer coefficient: the fit must
+        # return exactly these, asking for one value per grid point (one
+        # per monomial) and one per held-out point
         exps = [e for e in itertools.product(range(6), repeat=4)
-                if sum(e) in (5, 3, 1)]
+                if sum(e) <= 5]
         want = {e: (-1) ** i * (i + Q(1, i + 2)) for i, e in enumerate(exps)}
         calls = []
 
@@ -228,9 +222,36 @@ class TestChamberFit:
         base = lattice_point((11, 7), (14, 12), -2)
         assert 0 not in sign_vector(base, 4)
         poly = fit_chamber_polynomial(base, 1, 4)
-        assert len(want) == 80 and poly.degree == 5
+        assert len(want) == 126 and poly.degree == 5
         assert poly.coeffs == want
-        assert len(calls) == 80 + chambers.HOLDOUT
+        assert len(calls) == 126 + chambers.HOLDOUT
+
+    @pytest.mark.parametrize("mu,nu,k,r,s", [
+        ((9, 3), (6, 2), 2, 1, 2),
+        # tied parts: a grid point may reorder them, and is re-sorted,
+        # so two grid points can give the same sorted point
+        ((5, 2), (13, 13, 11), -10, 1, 3),
+        ((6, 6), (5, 3), 2, 1, 2),
+        ((7, 7), (5, 3), 3, 2, 2),
+        # beside a one-sided wall
+        ((4,), (13, 12, 11), -16, 2, 2),
+    ])
+    def test_every_engine_point_lies_in_the_base_chamber(
+            self, monkeypatch, mu, nu, k, r, s):
+        # grid and held-out points alike carry the base's sign vector
+        base = lattice_point(mu, nu, k)
+        signs = sign_vector(base, s)
+        points = []
+
+        def record(mu, nu, k, r, s):
+            points.append(lattice_point(mu, nu, k))
+            return connected_hurwitz(mu, nu, k, r, s)
+
+        monkeypatch.setattr(chambers, "connected_hurwitz", record)
+        poly = fit_chamber_polynomial(base, r, s)
+        assert len(points) > chambers.HOLDOUT
+        assert all(sign_vector(p, s) == signs for p in points)
+        assert poly.signs == signs
 
     def test_evaluate_rejects_a_non_integer_part(self):
         poly = fit_chamber_polynomial(C_PLUS, 1, 2)

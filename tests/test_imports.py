@@ -10,8 +10,8 @@ import pytest
 import leakyhurwitz
 
 EXPORTS = [
-    "ChamberFitError", "ChamberPoly", "ChamberSampleError", "HurwitzCache",
-    "HurwitzQuery", "HurwitzResult", "LatticePoint", "Q", "TruncSeries",
+    "ChamberFitError", "ChamberPoly", "HurwitzCache", "HurwitzQuery",
+    "HurwitzResult", "LatticePoint", "Q", "TruncSeries",
     "Wall", "all_walls", "aut_factor", "cmr_leaky_r1",
     "commutation_tree_dot", "complement_wall", "connected_hurwitz",
     "delta_of", "disconnected_hurwitz", "evaluate", "fit_chamber_polynomial",

@@ -1,6 +1,8 @@
 """Criterion 10 reports a vanishing, negative or off-anchor value,
-criterion 6 reports a crossing that raises, and the adjacent-pair search
-names a wall outside the arrangement.
+criterion 6 reports a crossing that raises, criterion 5 reports a
+parity gap that the engine breaks and a fitted coefficient that the Fock
+route contradicts, and the adjacent-pair search names a wall outside the
+arrangement.
 
 For criteria 10 and 6 the engine is replaced by a cheap stand-in that
 satisfies every part of the criterion, so each test plants one bad value
@@ -10,7 +12,7 @@ import random
 
 import pytest
 
-from leakyhurwitz import verify
+from leakyhurwitz import chambers, verify
 from leakyhurwitz.chambers import wall, wall_name
 from leakyhurwitz.series import Q
 
@@ -88,12 +90,14 @@ def test_criterion_6_lists_a_crossing_that_raises(monkeypatch):
 
     monkeypatch.setattr(verify, "fit_chamber_polynomial",
                         lambda point, r, s: ZeroPoly())
+    monkeypatch.setattr(verify, "_connected_fock", lambda *query: Q(0))
     monkeypatch.setattr(verify, "wall_crossing_series", series)
     monkeypatch.setattr(verify, "wall_crossing_genus0", lambda w, p: Q(0))
     rep = verify.criterion_6()
     assert not rep.ok
-    assert rep.checked == 37
-    assert rep.detail == "37 cases, 15 failing (first 10 listed)"
+    # 37 crossing points and 48 Fock points, two at each of 24 fits
+    assert rep.checked == 85
+    assert rep.detail == "85 cases, 15 failing (first 10 listed)"
     assert rep.failures[0] == (
         "wall I=[] J=[1] t=1 m=1 n=3 r=2 at LatticePoint(mu=(4,), "
         "nu=(13, 12, 11), k=-16): series failed: wall I=[] J=[1] t=1 "
@@ -104,3 +108,41 @@ def test_criterion_6_lists_a_crossing_that_raises(monkeypatch):
                      + ["wall I=[2, 3] J=[] t=1"] * 3
                      + ["wall I=[2] J=[] t=1"] * 3
                      + ["wall I=[1] J=[1, 2] t=2"])
+
+
+def test_criterion_5_finds_an_off_parity_constant(monkeypatch):
+    # a constant added to every engine value of the degree-1 chamber of
+    # (9,3)/(6,2), k=2, r=1, s=2 is a polynomial too, so the fit and its
+    # held-out points accept it; the degree-0 term breaks the parity gap
+    def shifted(mu, nu, k, r, s):
+        value = verify.connected_hurwitz(mu, nu, k, r, s)
+        return value + 7 if (len(mu), len(nu), r, s) == (2, 2, 1, 2) else value
+
+    monkeypatch.setattr(chambers, "connected_hurwitz", shifted)
+    rep = verify.criterion_5()
+    assert not rep.ok
+    label = "r=1 s=2 base=(9, 3)/(6, 2)/k=2"
+    assert f"{label}: off-parity monomials [(0, 0, 0, 0)]" in rep.failures
+    assert all(f.startswith(label) for f in rep.failures)
+
+
+def test_criterion_5_finds_a_changed_coefficient(monkeypatch):
+    # one coefficient of each fit moved by 1: degree and parity still
+    # hold, and only the Fock route at the base and doubled base objects
+    fit = verify.fit_chamber_polynomial
+
+    def off_by_one(base, r, s):
+        poly = fit(base, r, s)
+        if not poly.coeffs:
+            return poly
+        coeffs = dict(poly.coeffs)
+        top = max(coeffs)
+        coeffs[top] += 1
+        return poly._replace(coeffs=coeffs)
+
+    monkeypatch.setattr(verify, "fit_chamber_polynomial", off_by_one)
+    rep = verify.criterion_5()
+    assert not rep.ok
+    # four bases have terms, each failing at both points
+    assert len(rep.failures) == 8
+    assert all("!= Fock" in f for f in rep.failures)
