@@ -1,13 +1,13 @@
 """Public Hurwitz-number API and the one input check.
 
-Connected numbers come from the commutation engine; disconnected
-numbers assemble connected blocks over all ways to split the labeled
-parts, with the identical insertions distributed by counts.  evaluate
-sends a query to the integer Fock oracle instead where a shape-only
-cost rule finds that route clearly cheaper, and inverts the assembly
-there for a connected query; the engine (fock, and through it series)
-loads at the first query that needs it.  One-part numbers in genus
-zero have a fully closed polynomial; torus-corrected comparison numbers
+Connected numbers come from the commutation engine; disconnected numbers
+assemble connected blocks over all ways to split the labeled parts, with
+the identical insertions distributed by counts.  evaluate sends a query,
+as its dual, to the integer Fock oracle where a shape-only cost rule
+finds that route clearly cheaper; the assembly's inversion there keeps
+the orientation it is given.  The engine (fock, and through it series)
+loads at the first query that needs it.  One-part numbers in genus zero
+have a fully closed polynomial; torus-corrected comparison numbers
 replace each insertion by its two-term correction.  A small
 line-oriented cache makes repeated CLI queries cheap.
 """
@@ -221,26 +221,24 @@ def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
     return total
 
 
-@lru_cache(maxsize=8192)
-def _oracle_dual(mu, nu, k, r, s):
-    """oracle_disconnected on the dual query (nu, mu, -k), of the same
-    value; memoized, since the inversion meets each rest many times."""
-    return oracle_disconnected(nu, mu, -k, r, s)
+# the inversion meets each rest many times
+_oracle_rest = lru_cache(maxsize=8192)(oracle_disconnected)
 
 
 @lru_cache(maxsize=8192)
 def _connected_fock(mu, nu, k, r, s):
-    """connected_hurwitz by the Fock route: the oracle's disconnected
-    number less the proper blocks' terms, their connected numbers found
-    the same way.  One mu part with k >= 0, or one nu part with k <= 0,
-    leaves no proper block able to balance."""
+    """connected_hurwitz by the Fock route, in the caller's orientation:
+    the oracle's disconnected number, its kets grown from nu, less the
+    proper blocks' terms, their connected numbers found the same way.
+    One mu part with k >= 0, or one nu part with k <= 0, leaves no
+    proper block able to balance."""
     if not mu and not nu:
         return Q(0)
-    value = _oracle_dual(mu, nu, k, r, s)
+    value = _oracle_rest(mu, nu, k, r, s)
     if (len(mu) == 1 and k >= 0) or (len(nu) == 1 and k <= 0):
         return value
     return value - _block_sum(mu, nu, k, r, s, _connected_fock,
-                              _oracle_dual, proper=True)
+                              _oracle_rest, proper=True)
 
 
 # -- one-part closed form -----------------------------------------------
@@ -431,16 +429,17 @@ def evaluate(q, cache=None):
     """Evaluate a query, consulting and filling the cache if given.
 
     The method names the route: cache, fock (the oracle, where
-    _fock_cheaper picks it) or engine.  The oracle runs on the dual
-    query, of the same value, so a table's kets grow from its outer mu.
+    _fock_cheaper picks it) or engine.  Only here is a query flipped
+    for the Fock route, to its dual of the same value, so a table's
+    kets grow from its outer mu.
     """
     start = time.perf_counter()
     value = cache.lookup(q) if cache is not None else None
     method = "cache"
     if value is None:
         if _fock_cheaper(q):
-            value = (_connected_fock(*q[:5]) if q.connected
-                     else oracle_disconnected(q.nu, q.mu, -q.k, q.r, q.s))
+            fock = _connected_fock if q.connected else oracle_disconnected
+            value = fock(q.nu, q.mu, -q.k, q.r, q.s)
             method = "fock"
         else:
             route = connected_cached if q.connected else disconnected_hurwitz

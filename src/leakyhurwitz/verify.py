@@ -135,6 +135,7 @@ def oracle_sweep(max_size=8, max_s=3, engine=disconnected_hurwitz,
                 if b < 0:
                     continue
                 for r in (1, 2):
+                    # nu outermost: the oracle keeps 8 kets, keyed on its nu
                     for nu in partitions_of(b):
                         for mu in mus:
                             lhs = engine(mu, nu, k, r, s)
