@@ -16,6 +16,10 @@ term splits off a connected component, so the connected expectation
 keeps it only when the pair is the whole sequence.  The recursion is
 memoized globally on (sequence, caps, connected) with the z-variables
 renamed in order of first appearance, so all labellings share one entry.
+Inside it a label is an (energy, zmask) pair of ints, bit i of zmask
+standing for z_i: the public labels below are converted once, on entry,
+so a memo key holds no sets.  The central terms are memoized on
+(a, zmask, caps), so each sigma quotient is built once.
 
 Operator labels are (energy, zvars) pairs: bosons alpha_n carry no
 z-variables; an insertion in variable i carries zvars={i}.  A
@@ -58,20 +62,27 @@ def insertion_op(energy, var):
     return EOp(operator.index(energy), frozenset((var,)))
 
 
-# A dict, not lru_cache, so _vev's early exits are not stored.  The
-# benchmark's sweep pass leaves 7,862 entries.
+# A dict, not lru_cache, so _vev's early exits are not stored.  Keys are
+# (seq, caps, connected) with seq a tuple of (energy, zmask) int pairs in
+# canonical labels.  The benchmark's sweep pass leaves 7,862 entries.
 _MEMO = {}
 _zero = lru_cache(maxsize=256)(TruncSeries.zero)
 
 
-def _edge_form(a, avars, b, bvars, nvars):
-    """Coefficient tuple of the linear form a*z_B - b*z_A."""
-    form = [0] * nvars
-    for i in bvars:
-        form[i] = a
-    for i in avars:
-        form[i] = -b
-    return tuple(form)
+@lru_cache(maxsize=256)
+def _bits(zmask):
+    """The z-variable indices set in a mask, ascending."""
+    return tuple(i for i in range(zmask.bit_length()) if zmask >> i & 1)
+
+
+@lru_cache(maxsize=1024)
+def _central(a, zmask, caps):
+    """Central term of a pair of energies a and -a over the z-variables
+    in zmask: the constant a for two bosons (zmask 0), otherwise
+    sigma(a z_K)/sigma(z_K)."""
+    if not zmask:
+        return TruncSeries.const(caps, a)
+    return sigma_over_sigma(a, 1, _bits(zmask), caps)
 
 
 def _vev(seq, caps, connected):
@@ -84,58 +95,66 @@ def _vev(seq, caps, connected):
         # merge, so the series starts in total degree len(seq) - 2
         return _zero(caps)
     if not seq:
-        return TruncSeries.const(caps, Q(1))
-    p = next((i for i, op in enumerate(seq) if op.energy < 0), None)
+        return _central(1, 0, caps)  # the constant 1
+    p = next((i for i, (e, _) in enumerate(seq) if e < 0), None)
     if p is None or p == 0:
         # no annihilator left (rightmost label kills the vacuum), or the
         # leftmost one hit the covacuum
         return _zero(caps)
-    # canonical labels: first-appearance order, then the absent variables
-    order = [v for op in seq for v in sorted(op.zvars)]
-    order += [v for v in range(len(caps)) if v not in order]
-    if order != sorted(order):
-        new = {v: i for i, v in enumerate(order)}
-        canon = tuple(op._replace(zvars=frozenset(map(new.get, op.zvars)))
-                      for op in seq)
-        canon_caps = tuple(caps[v] for v in order)
-        return _vev(canon, canon_caps, connected).relabel(order)
-    a_op, b_op = seq[p - 1], seq[p]
-    a, b = a_op.energy, b_op.energy
+    # canonical labels: first-appearance order, then the absent ones;
+    # so every prefix of the sequence must cover z_0..z_j for some j
+    seen = 0
+    for _, m in seq:
+        seen |= m
+        if seen & (seen + 1):
+            return _relabelled(seq, caps, connected)
+    (a, am), (b, bm) = seq[p - 1], seq[p]
     # a prefix of negative energy (of zero energy, if connected) keeps
     # its sum under every swap, merge and central removal until the
     # annihilator reaches the covacuum, so the swap that makes one is dead
-    head = sum(op.energy for op in seq[:p - 1]) + b
+    head = sum(e for e, _ in seq[:p - 1]) + b
     if head < 0 or (head == 0 and connected):
         total = _zero(caps)
     else:
-        swapped = seq[:p - 1] + (b_op, a_op) + seq[p + 1:]
+        swapped = seq[:p - 1] + (seq[p], seq[p - 1]) + seq[p + 1:]
         total = _vev(swapped, caps, connected)
     if a + b == 0 and (len(seq) == 2 or not connected):
-        if not a_op.zvars and not b_op.zvars:
-            central = TruncSeries.const(caps, Q(a))
-        else:
-            # edge weight times the central expectation sigma(a z_K)/sigma(z_K)
-            central = sigma_over_sigma(a, 1, a_op.zvars | b_op.zvars, caps)
+        # edge weight times the central expectation sigma(a z_K)/sigma(z_K)
+        central = _central(a, am | bm, caps)
         if len(seq) == 2:
             total = total + central
         else:
             total = total + central * _vev(
                 seq[:p - 1] + seq[p + 1:], caps, False)
-    if (a_op.zvars or b_op.zvars) and len(seq) > 2:
+    if (am or bm) and len(seq) > 2:
         # boson-boson merges are purely central; a merge into a single
-        # label leaves an expectation of zero
+        # label leaves an expectation of zero.  The edge weight is
+        # sigma(a z_B - b z_A).
         edge = sigma_series(
-            _edge_form(a, a_op.zvars, b, b_op.zvars, len(caps)), caps)
+            tuple(-b if am >> i & 1 else a if bm >> i & 1 else 0
+                  for i in range(len(caps))), caps)
         if not edge.is_zero():
-            merged = EOp(a + b, a_op.zvars | b_op.zvars)
-            rest = seq[:p - 1] + (merged,) + seq[p + 1:]
+            rest = seq[:p - 1] + ((a + b, am | bm),) + seq[p + 1:]
             total = total + edge * _vev(rest, caps, connected)
     _MEMO[key] = total
     return total
 
 
+def _relabelled(seq, caps, connected):
+    """_vev of a sequence through its canonical labels."""
+    order = []
+    for _, m in seq:
+        order += [v for v in _bits(m) if v not in order]
+    order += [v for v in range(len(caps)) if v not in order]
+    new = {v: i for i, v in enumerate(order)}
+    canon = tuple((e, sum(1 << new[v] for v in _bits(m))) for e, m in seq)
+    canon_caps = tuple(caps[v] for v in order)
+    return _vev(canon, canon_caps, connected).relabel(order)
+
+
 def _expectation(ops, caps, connected):
-    """The label checks both public entry points share, then _vev."""
+    """The label checks both public entry points share, then _vev on the
+    labels as (energy, zmask) pairs, bit i of zmask standing for z_i."""
     caps = tuple(caps)
     seq = tuple(ops)
     for op in seq:
@@ -145,7 +164,8 @@ def _expectation(ops, caps, connected):
             raise ValueError("zvars index outside caps range")
     if sum(op.energy for op in seq) != 0:
         return TruncSeries.zero(caps)
-    return _vev(seq, caps, connected)
+    return _vev(tuple((op.energy, sum(1 << v for v in op.zvars))
+                      for op in seq), caps, connected)
 
 
 def connected_vev_series(ops, caps):

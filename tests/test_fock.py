@@ -291,7 +291,12 @@ class TestRelabelling:
         try:
             assert connected_hurwitz((9, 3), (6, 2), 2, 1, 2) == 16
             for seq, _, _ in fock._MEMO:
-                seen = [v for op in seq for v in sorted(op.zvars)]
+                # labels are (energy, zmask) int pairs, bit i for z_i
+                assert all(type(op) is tuple and len(op) == 2
+                           and all(type(x) is int for x in op)
+                           for op in seq)
+                seen = [v for _, m in seq
+                        for v in range(m.bit_length()) if m >> v & 1]
                 assert seen == list(range(len(seen)))
             assert len(fock._MEMO) == 15
         finally:
