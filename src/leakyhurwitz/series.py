@@ -2,14 +2,14 @@
 
 Everything downstream works in the ring Q[z_1..z_s] / (z_i^{caps_i + 1}),
 i.e. power series truncated per variable.  Coefficients are exact
-rationals; zero coefficients are never stored.  The only series that are
-ever inverted are units (nonzero constant term), so no Laurent
-representation is needed: quotients by the odd series sigma(z) are always
-folded into unit-series ratios first.
+rationals; zero coefficients are never stored.  The only series ever
+inverted are units (nonzero constant term), so no Laurent form is needed.
 
-sigma denotes the function sigma(x) = exp(x/2) - exp(-x/2), whose Taylor
-expansion sum_{m>=0} x^(2m+1) / (4^m (2m+1)!) has exact rational
-coefficients.  S(x) = sigma(x)/x is the associated unit series.
+sigma(x) = exp(x/2) - exp(-x/2) = sum_{m>=0} x^(2m+1) / (4^m (2m+1)!),
+and S(x) = sigma(x)/x is its unit series.  Every sigma weight is a
+function of one linear form L: sigma(L), S(L) and sigma(aL)/sigma(bL) =
+(a/b) S(aL)/S(bL).  Each is built in closed form from its one-variable
+coefficients (_of_form), never by multiplying or inverting series.
 """
 from __future__ import annotations
 
@@ -99,18 +99,15 @@ class TruncSeries:
         """A series from a dict of exponent tuples to rationals."""
         self.caps = tuple(caps)
         self._lay = _layout(self.caps)
-        self._num = {}
-        self._den = 1
-        if terms:
-            coeffs = {}
-            for exps, c in terms.items():
-                c = Q(c)
-                if c:
-                    self._check_exps(tuple(exps))
-                    coeffs[_pack(self._lay, exps)] = c
-            self._den = math.lcm(*(c.denominator for c in coeffs.values()))
-            self._num = {e: c.numerator * (self._den // c.denominator)
-                         for e, c in coeffs.items()}
+        coeffs = {}
+        for exps, c in (terms or {}).items():
+            c = Q(c)
+            if c:
+                self._check_exps(tuple(exps))
+                coeffs[_pack(self._lay, exps)] = c
+        self._den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {e: c.numerator * (self._den // c.denominator)
+                     for e, c in coeffs.items()}
 
     @classmethod
     def _make(cls, caps, lay, num, den):
@@ -264,47 +261,57 @@ def zvars_form(coeff, vars_, nvars):
 
 # -- sigma and friends ------------------------------------------------
 
-def sigma_series(form, caps):
-    """sigma(L) for a linear form L, truncated to caps.
+@lru_cache(maxsize=1024)
+def _taylor(t, u, factor, lift, n):
+    """j! [x^j] of factor x^lift S(t x) / S(u x) for j <= n, as a tuple
+    of ints over one den."""
+    out, den = ([Q(v, 2) ** j / math.factorial(j + 1) if j % 2 == 0
+                 else QZERO for j in range(n + 1)] for v in (t, u))
+    for j in range(2, n + 1, 2):  # den[0] = 1, odd terms vanish
+        out[j] -= sum(den[i] * out[j - i] for i in range(2, j + 1, 2))
+    out = [x * factor * math.factorial(j)
+           for j, x in enumerate([QZERO] * lift + out[:n + 1 - lift])]
+    den = math.lcm(*(x.denominator for x in out))
+    return tuple(int(x * den) for x in out), den
 
-    sigma(L) = sum_{m>=0} L^(2m+1) / (4^m (2m+1)!).  The zero form gives
-    the zero series.  Results are memoized on (form, caps): the engine
-    asks for the same few hundred edge weights over and over, and the
-    shared instance is safe because no TruncSeries is ever mutated.
-    """
+
+def _of_form(form, caps, t, u=0, factor=1, lift=0):
+    """factor L^lift S(t L) / S(u L), L = sum_i form[i] z_i, to the caps:
+    z^e takes g[|e|] |e|! prod_i form[i]^e_i / e_i! from the one-variable
+    series g, an int factor per variable over prod_i caps_i!."""
+    caps = tuple(caps)
+    if len(form) != len(caps):
+        raise ValueError("form length does not match caps")
+    lay = _layout(caps)
+    g, den = _taylor(t, u, factor, lift,
+                     sum(k for c, k in zip(form, caps) if c))
+    terms = [(0, 0, 1)]
+    for (shift, _), c, cap in zip(lay[0], form, caps):
+        if c:
+            f = math.factorial(cap)
+            den *= f
+            w = [c ** e * (f // math.factorial(e)) for e in range(cap + 1)]
+            terms = [(p | e << shift, n + e, v * w[e])
+                     for p, n, v in terms for e in range(cap + 1)]
+    return TruncSeries._make(
+        caps, lay, {p: g[n] * v for p, n, v in terms if g[n]}, den)
+
+
+def sigma_series(form, caps):
+    """sigma(L) = L S(L), memoized on (form, caps): the engine asks for the
+    same few hundred edge weights over and over, and no series is ever
+    mutated, so sharing one instance is safe.  The zero form gives 0."""
     return _sigma_series(tuple(form), tuple(caps))
 
 
 @lru_cache(maxsize=4096)
 def _sigma_series(form, caps):
-    L = TruncSeries.from_form(form, caps)
-    return _sigma_taylor(TruncSeries.zero(caps), L, L * L, 0)
+    return _of_form(form, caps, 1, lift=1)
 
 
 def unit_s_series(form, caps, scale=1):
-    """S(scale * L) = sigma(scale*L)/(scale*L), a unit series.
-
-    S(x) = sum_{m>=0} x^(2m) / (4^m (2m+1)!), so the constant term is 1.
-    """
-    L = TruncSeries.from_form(form, caps) * Q(scale)
-    L2 = L * L
-    return _sigma_taylor(TruncSeries.const(caps, 1), L2, L2, 1)
-
-
-def _sigma_taylor(out, power, L2, m):
-    """out + sum_{j>=m} power * L2^(j-m) / (4^j (2j+1)!), up to the caps.
-
-    The shared coefficients of sigma(L) (out = 0, power = L, m = 0) and
-    of S(L) (out = 1, power = L^2, m = 1).  A zero L (the zero form, or
-    every variable it touches capped at degree 0) adds nothing.
-    """
-    den = 4 ** m * math.factorial(2 * m + 1)
-    while not power.is_zero():
-        out = out + power * Q(1, den)
-        m += 1
-        power = power * L2
-        den *= 4 * (2 * m) * (2 * m + 1)
-    return out
+    """S(scale * L), a unit series: its constant term is 1."""
+    return _of_form(form, caps, scale)
 
 
 def invert_unit_series(s):
@@ -326,16 +333,9 @@ def invert_unit_series(s):
 
 
 def sigma_over_sigma(a, b, vars_, caps):
-    """sigma(a * z_V) / sigma(b * z_V) for nonzero b.
-
-    Computed as (a/b) * S(a z_V) / S(b z_V).  For a = 0 returns the zero
-    series; b = 0 is rejected (the quotient would be Laurent).
-    """
+    """sigma(a z_V) / sigma(b z_V) = (a/b) S(a x) / S(b x) at x = z_V, the
+    quotient taken in the one variable x.  Zero for a = 0; b = 0 is
+    rejected (the quotient would be Laurent)."""
     if b == 0:
         raise ValueError("denominator form sigma(0) is identically zero")
-    if a == 0:
-        return TruncSeries.zero(caps)
-    form = zvars_form(1, vars_, len(caps))
-    num = unit_s_series(form, caps, scale=a)
-    den = unit_s_series(form, caps, scale=b)
-    return (num * invert_unit_series(den)) * Q(a, b)
+    return _of_form(zvars_form(1, vars_, len(caps)), caps, a, b, Q(a, b))

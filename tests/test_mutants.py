@@ -6,9 +6,10 @@ clean, so a case that fails names the fault rather than the library.
 """
 import inspect
 
-from leakyhurwitz import fock, numbers, verify
+from leakyhurwitz import cutjoin, fock, numbers, series, verify
 from leakyhurwitz.fock import connected_hurwitz
-from leakyhurwitz.series import Q
+from leakyhurwitz.numbers import partitions_of
+from leakyhurwitz.series import Q, TruncSeries
 
 
 def connected_sweep():
@@ -80,3 +81,53 @@ def test_criterion_3_finds_an_assembly_memo_keyed_on_mu_nu_s(monkeypatch):
         finally:
             clear()
     assert checked == 1094 and failures
+
+
+def test_criterion_3_finds_sigma_edges_over_2_to_the_n(monkeypatch):
+    # sigma's degree-n coefficient is 1/(2^(n-1) n!); 2^n in its place
+    # past the linear term halves every edge term of degree 3 and up
+    sigma = fock.sigma_series
+
+    def over_2_to_the_n(form, caps):
+        return TruncSeries(caps, {e: c / (1 + (sum(e) > 1))
+                                  for e, c in sigma(form, caps).terms.items()})
+
+    def clear():
+        fock._MEMO.clear()
+        fock._central.cache_clear()
+        series._sigma_series.cache_clear()
+        numbers.connected_cached.cache_clear()
+        numbers._assembly.cache_clear()
+
+    clear()
+    checked, failures = verify.oracle_sweep(3, 2)
+    assert checked == 1094 and failures == []
+    with monkeypatch.context() as m:
+        m.setattr(fock, "sigma_series", over_2_to_the_n)
+        clear()
+        try:
+            checked, failures = verify.oracle_sweep(3, 2)
+        finally:
+            clear()
+    assert checked == 1094 and failures
+
+
+def test_criterion_7_finds_brackets_built_on_sigma_2z_over_2(monkeypatch):
+    # criterion 7's steps with |nu| <= 3
+    steps = [(nu, k, r, s) for total in range(4) for nu in partitions_of(total)
+             for k in (-1, 0, 1, 2) for r in (1, 2) for s in (1, 2)]
+
+    def failed():
+        cutjoin._bracket.cache_clear()
+        try:
+            return sum(not cutjoin.verify_cut_and_join(*step)["ok"]
+                       for step in steps)
+        finally:
+            cutjoin._bracket.cache_clear()
+
+    assert len(steps) == 112 and failed() == 0
+    sigma = cutjoin.sigma_series
+    with monkeypatch.context() as m:
+        m.setattr(cutjoin, "sigma_series", lambda form, caps: sigma(
+            tuple(2 * c for c in form), caps) * Q(1, 2))
+        assert failed()

@@ -240,3 +240,76 @@ def test_kernel_coefficient_errors(caps):
     with pytest.raises(ValueError, match="negative"):
         s.coefficient((-1,) + caps[1:])
     assert s.terms.get((caps[0] + 1,) + caps[1:]) is None
+
+
+# -- the closed-form sigma family against its defining Taylor sums ------
+
+def _taylor_sum(L, odd):
+    """sum_{m>=0} L^(2m+odd) / (4^m (2m+1)!) by series products: sigma(L)
+    for odd = 1, S(L) for odd = 0."""
+    out = TruncSeries.zero(L.caps)
+    power = L if odd else TruncSeries.const(L.caps, 1)
+    m = 0
+    while not power.is_zero():
+        out = out + power * Q(1, 4 ** m * math.factorial(2 * m + 1))
+        power = power * L * L
+        m += 1
+    return out
+
+
+def _sigma_family_cases():
+    """Forms, caps, scales and (a, b) pairs: the fixed edge cases, then
+    seeded random ones with parts up to 300 (chamber fits reach ~100)."""
+    yield (0, 0), (2, 3), 1, (0, 1), 0, 1
+    yield (5, -7, 0), (0, 0, 0), -1, (0, 1, 2), 3, -2
+    yield (300, -300), (4, 4), Q(-7, 3), (0, 1), -300, 299
+    yield (1, 2, 3, 4), (3, 0, 2, 1), Q(1, 2), (), 5, -5
+    rng = random.Random(29)
+    for _ in range(120):
+        nvars = rng.randint(1, 4)
+        caps = tuple(rng.randint(0, 4 if nvars < 4 else 3)
+                     for _ in range(nvars))
+        form = tuple(rng.choice([0, rng.randint(-300, 300)])
+                     for _ in range(nvars))
+        scale = rng.choice([1, -1, rng.randint(-9, 9),
+                            Q(rng.randint(-9, 9), rng.randint(1, 9))])
+        vars_ = tuple(i for i in range(nvars) if rng.random() < 0.6)
+        a = rng.choice([0, rng.randint(-300, 300)])
+        b = rng.choice([rng.randint(-300, -1), rng.randint(1, 300)])
+        yield form, caps, scale, vars_, a, b
+
+
+def test_sigma_family_matches_the_defining_taylor_sums():
+    for form, caps, scale, vars_, a, b in _sigma_family_cases():
+        L = TruncSeries.from_form(form, caps)
+        _assert_matches(sigma_series(form, caps),
+                        dict(_taylor_sum(L, 1).terms))
+        _assert_matches(unit_s_series(form, caps, scale),
+                        dict(_taylor_sum(L * scale, 0).terms))
+        x = TruncSeries.from_form(zvars_form(1, vars_, len(caps)), caps)
+        ref = (_taylor_sum(x * a, 0)
+               * invert_unit_series(_taylor_sum(x * b, 0)) * Q(a, b))
+        _assert_matches(sigma_over_sigma(a, b, vars_, caps),
+                        dict(ref.terms))
+
+
+def test_sigma_over_sigma_times_denominator_on_several_variables():
+    rng = random.Random(2901)
+    for _ in range(40):
+        nvars = rng.randint(2, 4)
+        caps = tuple(rng.randint(1, 3) for _ in range(nvars))
+        vars_ = tuple(sorted(rng.sample(range(nvars), rng.randint(2, nvars))))
+        a = rng.randint(-300, 300)
+        b = rng.choice([x for x in range(-300, 301) if x not in (0, 1)])
+        lhs = sigma_over_sigma(a, b, vars_, caps) * sigma_series(
+            zvars_form(b, vars_, nvars), caps)
+        rhs = sigma_series(zvars_form(a, vars_, nvars), caps)
+        assert as_data(lhs) == as_data(rhs)
+
+
+@pytest.mark.parametrize("build", [sigma_series, unit_s_series])
+@pytest.mark.parametrize("form,caps", [((1, 2), (3,)), ((1,), (2, 2)),
+                                       ((), (1,))])
+def test_sigma_family_rejects_a_form_of_the_wrong_length(build, form, caps):
+    with pytest.raises(ValueError, match="form length"):
+        build(form, caps)
