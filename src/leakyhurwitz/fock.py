@@ -85,6 +85,13 @@ def _central(a, zmask, caps):
     return sigma_over_sigma(a, 1, _bits(zmask), caps)
 
 
+@lru_cache(maxsize=1024)
+def _edge_form(a, am, b, bm, n):
+    """The form a z_B - b z_A of a merge, as n int coefficients."""
+    return tuple(-b if am >> i & 1 else a if bm >> i & 1 else 0
+                 for i in range(n))
+
+
 def _vev(seq, caps, connected):
     key = (seq, caps, connected)
     hit = _MEMO.get(key)
@@ -96,23 +103,27 @@ def _vev(seq, caps, connected):
         return _zero(caps)
     if not seq:
         return _central(1, 0, caps)  # the constant 1
-    p = next((i for i, (e, _) in enumerate(seq) if e < 0), None)
-    if p is None or p == 0:
-        # no annihilator left (rightmost label kills the vacuum), or the
-        # leftmost one hit the covacuum
-        return _zero(caps)
-    # canonical labels: first-appearance order, then the absent ones;
-    # so every prefix of the sequence must cover z_0..z_j for some j
-    seen = 0
-    for _, m in seq:
+    if seq[0][0] < 0:
+        return _zero(caps)  # the leftmost annihilator hit the covacuum
+    # one pass finds the leftmost annihilator p and the energy head up to
+    # it, and checks the canonical labels: first-appearance order, then
+    # the absent ones, so every prefix must cover z_0..z_j for some j
+    p = seen = head = 0
+    for i, (e, m) in enumerate(seq):
+        if not p:
+            head += e
+            if e < 0:
+                p = i
         seen |= m
         if seen & (seen + 1):
             return _relabelled(seq, caps, connected)
+    if not p:
+        return _zero(caps)  # no annihilator: the last label kills the vacuum
     (a, am), (b, bm) = seq[p - 1], seq[p]
     # a prefix of negative energy (of zero energy, if connected) keeps
     # its sum under every swap, merge and central removal until the
     # annihilator reaches the covacuum, so the swap that makes one is dead
-    head = sum(e for e, _ in seq[:p - 1]) + b
+    head -= a
     if head < 0 or (head == 0 and connected):
         total = _zero(caps)
     else:
@@ -121,18 +132,14 @@ def _vev(seq, caps, connected):
     if a + b == 0 and (len(seq) == 2 or not connected):
         # edge weight times the central expectation sigma(a z_K)/sigma(z_K)
         central = _central(a, am | bm, caps)
-        if len(seq) == 2:
-            total = total + central
-        else:
-            total = total + central * _vev(
-                seq[:p - 1] + seq[p + 1:], caps, False)
+        if len(seq) > 2:
+            central = central * _vev(seq[:p - 1] + seq[p + 1:], caps, False)
+        total = total + central
     if (am or bm) and len(seq) > 2:
         # boson-boson merges are purely central; a merge into a single
         # label leaves an expectation of zero.  The edge weight is
         # sigma(a z_B - b z_A).
-        edge = sigma_series(
-            tuple(-b if am >> i & 1 else a if bm >> i & 1 else 0
-                  for i in range(len(caps))), caps)
+        edge = sigma_series(_edge_form(a, am, b, bm, len(caps)), caps)
         if not edge.is_zero():
             rest = seq[:p - 1] + ((a + b, am | bm),) + seq[p + 1:]
             total = total + edge * _vev(rest, caps, connected)

@@ -188,7 +188,9 @@ def _assembly(mu, nu, k, r, s):
 def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
     """Sum over the blocks holding the anchor part, each with j insertions,
     of ways * C(s, j) * connected(block) * disconnected(rest); proper
-    leaves out the full block, whose term is the connected number."""
+    leaves out the full block, whose term is the connected number.  The
+    terms add up in ints over the lcm of their denominators, and a term
+    whose block or rest is zero is skipped."""
     # anchor the largest remaining mu part (nu part if mu is spent);
     # the spent side contributes () as its anchor and pool
     cut = 0 if mu else 1
@@ -199,7 +201,7 @@ def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
     for taken, rest, ways in _splits(pool_nu):
         block = anchor_nu + taken
         nu_by_size.setdefault(sum(block), []).append((block, rest, ways))
-    total = Q(0)
+    num, den = 0, 1
     for sub_mu, rest_mu, ways_mu in _splits(pool_mu):
         block_mu = anchor_mu + sub_mu
         size_mu = sum(block_mu)
@@ -214,11 +216,15 @@ def _block_sum(mu, nu, k, r, s, connected, disconnected, proper=False):
                 if proper and j == s and not rest_mu and not rest_nu:
                     continue
                 piece = connected(block_mu, block_nu, k, r, j)
-                if piece == 0:
+                rest = piece and disconnected(rest_mu, rest_nu, k, r, s - j)
+                if not rest:
                     continue
-                total += (Q(ways_mu * ways_nu * math.comb(s, j)) * piece
-                          * disconnected(rest_mu, rest_nu, k, r, s - j))
-    return total
+                d = piece.denominator * rest.denominator
+                if den % d:
+                    num, den = num * (d // math.gcd(den, d)), math.lcm(den, d)
+                num += (ways_mu * ways_nu * math.comb(s, j) * piece.numerator
+                        * rest.numerator * (den // d))
+    return Q(num, den)
 
 
 # the inversion meets each rest many times

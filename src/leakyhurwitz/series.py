@@ -283,18 +283,20 @@ def _of_form(form, caps, t, u=0, factor=1, lift=0):
     if len(form) != len(caps):
         raise ValueError("form length does not match caps")
     lay = _layout(caps)
-    g, den = _taylor(t, u, factor, lift,
-                     sum(k for c, k in zip(form, caps) if c))
-    terms = [(0, 0, 1)]
-    for (shift, _), c, cap in zip(lay[0], form, caps):
-        if c:
-            f = math.factorial(cap)
-            den *= f
-            w = [c ** e * (f // math.factorial(e)) for e in range(cap + 1)]
+    live = [(sh, c, cap) for (sh, _), c, cap in zip(lay[0], form, caps) if c]
+    g, den = _taylor(t, u, factor, lift, sum(cap for _, _, cap in live))
+    terms, num = [(0, 0, 1)], {0: g[0]} if g[0] else {}  # the zero form: g[0]
+    for i, (shift, c, cap) in enumerate(live, 1 - len(live)):
+        f = math.factorial(cap)
+        den *= f
+        w = [c ** e * (f // math.factorial(e)) for e in range(cap + 1)]
+        if i:
             terms = [(p | e << shift, n + e, v * w[e])
                      for p, n, v in terms for e in range(cap + 1)]
-    return TruncSeries._make(
-        caps, lay, {p: g[n] * v for p, n, v in terms if g[n]}, den)
+        else:  # the last variable emits only the degrees g keeps
+            num = {p | e << shift: g[n + e] * v * w[e]
+                   for p, n, v in terms for e in range(cap + 1) if g[n + e]}
+    return TruncSeries._make(caps, lay, num, den)
 
 
 def sigma_series(form, caps):

@@ -131,3 +131,58 @@ def test_criterion_7_finds_brackets_built_on_sigma_2z_over_2(monkeypatch):
         m.setattr(cutjoin, "sigma_series", lambda form, caps: sigma(
             tuple(2 * c for c in form), caps) * Q(1, 2))
         assert failed()
+
+
+def planted_block_sum(old, new):
+    """numbers._block_sum run from its source with old replaced by new."""
+    source = inspect.getsource(numbers._block_sum)
+    planted = source.replace(old, new)
+    assert planted != source
+    namespace = dict(vars(numbers))
+    exec(planted, namespace)
+    return namespace["_block_sum"]
+
+
+def test_criterion_3_finds_the_inversion_missing_its_j_0_blocks(monkeypatch):
+    # a proper block without insertions is a term of the inversion too
+    planted = planted_block_sum("for j in range(s + 1):",
+                                "for j in range(1 if proper else 0, s + 1):")
+
+    def clear():
+        numbers._connected_fock.cache_clear()
+        numbers._oracle_rest.cache_clear()
+
+    clear()
+    checked, failures = connected_sweep()
+    assert checked == 5878 and failures == []
+    with monkeypatch.context() as m:
+        m.setattr(numbers, "_block_sum", planted)
+        clear()
+        try:
+            checked, failures = connected_sweep()
+        finally:
+            clear()
+    assert checked == 5878 and failures
+
+
+def test_criterion_3_finds_the_block_sum_keeping_its_numerator_unscaled(
+        monkeypatch):
+    # when the running denominator grows, the numerator summed so far
+    # must grow with it
+    planted = planted_block_sum("num * (d // math.gcd(den, d))", "num")
+
+    def clear():
+        numbers._assembly.cache_clear()
+        numbers.connected_cached.cache_clear()
+
+    clear()
+    checked, failures = verify.oracle_sweep(3, 2)
+    assert checked == 1094 and failures == []
+    with monkeypatch.context() as m:
+        m.setattr(numbers, "_block_sum", planted)
+        clear()
+        try:
+            checked, failures = verify.oracle_sweep(3, 2)
+        finally:
+            clear()
+    assert checked == 1094 and failures

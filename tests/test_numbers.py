@@ -1,5 +1,6 @@
 """Number-level API tests: disconnected assembly, one-part forms,
 torus-corrected numbers, cache, and query plumbing."""
+import hashlib
 import itertools
 import json
 import os
@@ -699,3 +700,24 @@ class TestCache:
         res = evaluate(q)
         assert res.method == route(q)
         assert res.value == Q(9, 8) == disconnected_hurwitz(*q[:5])
+
+
+def test_engine_values_match_the_golden_digest():
+    # sha256 of one line per balanced query with |mu| <= 4, s <= 3,
+    # |k| <= 3, r in {1, 2}: the query, then repr of its disconnected and
+    # connected numbers, so any change of value changes the digest
+    golden = json.loads(
+        (pathlib.Path(__file__).parent / "golden" / "values_digest.json")
+        .read_text(encoding="utf-8"))
+    digest, count = hashlib.sha256(), 0
+    for a, s, k, r in itertools.product(range(5), range(4), range(-3, 4),
+                                        (1, 2)):
+        for mu in numbers.partitions_of(a):
+            for nu in numbers.partitions_of(a - s * k):
+                line = (f"{mu} {nu} {k} {r} {s} "
+                        f"{disconnected_hurwitz(mu, nu, k, r, s)!r} "
+                        f"{connected_hurwitz(mu, nu, k, r, s)!r}\n")
+                digest.update(line.encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (golden["queries"],
+                                           golden["sha256"])
