@@ -42,7 +42,7 @@ _HOMES = {
                 "one_part_closed_genus0"),
     "oracle": ("oracle_disconnected",),
     "series": ("Q", "TruncSeries"),
-    "verify": ("format_report", "run_all"),
+    "verify": ("clear_caches", "format_report", "run_all"),
 }
 _EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
 _SUBMODULES = frozenset(_HOMES) | {"cli"}

@@ -19,9 +19,9 @@ the one common denominator at the end.
 
 A sweep or a table meets states again: ``_apply_moves`` marks a state in
 the move memo ``_MOVES`` (a dict per (k, j)) at its first visit and keeps
-its nonzero signed moves from its second, so a cold query keeps none.  It
-holds at most ``_MOVE_CAP`` states, all dropped when that would be passed;
-``sum(map(len, _MOVES.values()))`` reads its size.
+its nonzero signed moves from its second, so a cold query keeps none.  Its
+size, ``sum(map(len, _MOVES.values()))``, stays at most ``_MOVE_CAP``; it
+is emptied when that would be passed, and by ``verify.clear_caches()``.
 """
 from __future__ import annotations
 

@@ -4,12 +4,13 @@ Each criterion_* function checks one theorem-level property at desk
 scale — closed forms, oracle equivalence, chamber polynomiality, wall
 crossing, the cut-and-join PDE, dualities, the torus correction, and
 the genus-zero positivity/homogeneity claims — and returns a
-CriterionReport.  The CLI selftest command and the acceptance test
-module both run these.
+CriterionReport.  run_all runs them, each on cleared memos, for the CLI
+selftest command and the acceptance test module.
 """
 from __future__ import annotations
 
 import random
+import sys
 import time
 from typing import NamedTuple
 
@@ -17,7 +18,6 @@ from .chambers import (
     _check_wall,
     all_walls,
     complement_wall,
-    delta_of,
     fit_chamber_polynomial,
     lattice_point,
     sign_vector,
@@ -27,7 +27,7 @@ from .chambers import (
     wall_crossing_series,
 )
 from .cutjoin import verify_cut_and_join
-from .fock import connected_hurwitz
+from .fock import _MEMO, connected_hurwitz
 from .numbers import (
     _connected_fock,
     aut_factor,
@@ -37,7 +37,7 @@ from .numbers import (
     one_part_closed_genus0,
     partitions_of,
 )
-from .oracle import oracle_disconnected
+from .oracle import _MOVES, oracle_disconnected
 from .series import Q
 
 MAX_FAILURES = 10
@@ -543,10 +543,27 @@ ALL_CRITERIA = {
 }
 
 
+def clear_caches():
+    """Empty every library memo: each lru_cache, fock._MEMO, oracle._MOVES."""
+    for cache in {f for name, mod in tuple(sys.modules.items())
+                  if name.startswith("leakyhurwitz.")
+                  for f in vars(mod).values() if hasattr(f, "cache_clear")}:
+        cache.cache_clear()
+    _MEMO.clear()
+    _MOVES.clear()
+
+
 def run_all(numbers=None):
-    """Run the selected criteria (default all) and return their reports."""
+    """The selected criteria's reports (default all), each on cleared memos."""
     selected = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
-    return [ALL_CRITERIA[i]() for i in selected]
+    if unknown := [i for i in selected if i not in ALL_CRITERIA]:
+        raise ValueError(f"unknown criteria {unknown}")
+    def reports():
+        for i in selected:
+            clear_caches()
+            yield ALL_CRITERIA[i]()
+        clear_caches()
+    return reports()
 
 
 def format_report(rep):

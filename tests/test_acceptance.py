@@ -1,14 +1,14 @@
 """Acceptance gate: the ten verification criteria, exact everywhere.
 
-Each test runs one criterion end to end and prints its one-line
-pass/fail report.  Tolerance is zero: a criterion fails if any checked
-case deviates at all or if its runtime cap is exceeded.  Runtimes are
-measured with a monotonic clock, so a stepped wall clock cannot move a
-criterion across its cap.
+Each test runs one criterion through run_all, as selftest does, and
+prints its one-line pass/fail report.  Tolerance is zero: a criterion
+fails if any checked case deviates at all or if its runtime cap is
+exceeded.  Runtimes are measured with a monotonic clock, so a stepped
+wall clock cannot move a criterion across its cap.
 """
 import pytest
 
-from leakyhurwitz.verify import ALL_CRITERIA, format_report
+from leakyhurwitz.verify import ALL_CRITERIA, format_report, run_all
 
 RUNTIME_CAPS_MS = {
     1: 60_000,
@@ -35,7 +35,7 @@ SLOW = {3, 10}
      for n in sorted(ALL_CRITERIA)],
     ids=lambda n: f"criterion-{n:02d}")
 def test_criterion(number):
-    report = ALL_CRITERIA[number]()
+    [report] = run_all([number])
     line = format_report(report)
     print(line)
     assert report.elapsed_ms < RUNTIME_CAPS_MS[number], line

@@ -153,14 +153,7 @@ class TestGeneratingSlice:
         assert want
         assert generating_slice(nu, 2, r, 2) == want
 
-    def test_slices_do_not_touch_the_engine(self):
-        saved = dict(fock._MEMO)
-        fock._MEMO.clear()
-        numbers._assembly.cache_clear()
-        numbers.connected_cached.cache_clear()
-        try:
-            assert verify_cut_and_join((2, 1), 1, 2, 2)["ok"]
-            assert numbers.connected_cached.cache_info().misses == 0
-            assert not fock._MEMO
-        finally:
-            fock._MEMO.update(saved)
+    def test_slices_do_not_touch_the_engine(self, clean_caches):
+        assert verify_cut_and_join((2, 1), 1, 2, 2)["ok"]
+        assert numbers.connected_cached.cache_info().misses == 0
+        assert not fock._MEMO

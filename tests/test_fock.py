@@ -283,25 +283,19 @@ class TestRelabelling:
         assert capped_connected(mu, nu, k, r, s, caps) == cold
         assert cold == connected_hurwitz(mu, nu, k, r, s)
 
-    def test_memo_holds_canonical_keys_only(self):
+    def test_memo_holds_canonical_keys_only(self, clean_caches):
         # a renamed sequence is served from its canonical entry and
         # leaves no entry under its own labels
-        saved = dict(fock._MEMO)
-        fock._MEMO.clear()
-        try:
-            assert connected_hurwitz((9, 3), (6, 2), 2, 1, 2) == 16
-            for seq, _, _ in fock._MEMO:
-                # labels are (energy, zmask) int pairs, bit i for z_i
-                assert all(type(op) is tuple and len(op) == 2
-                           and all(type(x) is int for x in op)
-                           for op in seq)
-                seen = [v for _, m in seq
-                        for v in range(m.bit_length()) if m >> v & 1]
-                assert seen == list(range(len(seen)))
-            assert len(fock._MEMO) == 15
-        finally:
-            fock._MEMO.clear()
-            fock._MEMO.update(saved)
+        assert connected_hurwitz((9, 3), (6, 2), 2, 1, 2) == 16
+        for seq, _, _ in fock._MEMO:
+            # labels are (energy, zmask) int pairs, bit i for z_i
+            assert all(type(op) is tuple and len(op) == 2
+                       and all(type(x) is int for x in op)
+                       for op in seq)
+            seen = [v for _, m in seq
+                    for v in range(m.bit_length()) if m >> v & 1]
+            assert seen == list(range(len(seen)))
+        assert len(fock._MEMO) == 15
 
 
 class TestTreeDump:

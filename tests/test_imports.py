@@ -12,7 +12,7 @@ import leakyhurwitz
 EXPORTS = [
     "ChamberFitError", "ChamberPoly", "HurwitzCache", "HurwitzQuery",
     "HurwitzResult", "LatticePoint", "Q", "TruncSeries",
-    "Wall", "all_walls", "aut_factor", "cmr_leaky_r1",
+    "Wall", "all_walls", "aut_factor", "clear_caches", "cmr_leaky_r1",
     "commutation_tree_dot", "complement_wall", "connected_hurwitz",
     "delta_of", "disconnected_hurwitz", "evaluate", "fit_chamber_polynomial",
     "format_report", "genus_of", "hurwitz_sequence", "lattice_point",

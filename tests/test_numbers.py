@@ -16,14 +16,12 @@ from leakyhurwitz.chambers import lattice_point, wall
 from leakyhurwitz.fock import connected_hurwitz
 from leakyhurwitz.numbers import (
     HurwitzCache,
-    _assembly,
     _connected_fock,
     _fock_cheaper,
     _splits,
     aut_factor,
     canonical_partition,
     cmr_leaky_r1,
-    connected_cached,
     disconnected_hurwitz,
     evaluate,
     genus_of,
@@ -38,6 +36,7 @@ from leakyhurwitz.oracle import (
     oracle_disconnected,
 )
 from leakyhurwitz.series import Q, QZERO
+from leakyhurwitz.verify import clear_caches
 
 
 def route(q):
@@ -179,8 +178,7 @@ class TestDisconnected:
                for k in range(-3, 4) if a - s * k >= 0 for r in (1, 2)
                for nu in partitions_of(a - s * k) for mu in partitions_of(a)]
         forward = [disconnected_hurwitz(*q) for q in box]
-        _assembly.cache_clear()
-        connected_cached.cache_clear()
+        clear_caches()
         backward = [disconnected_hurwitz(*q) for q in reversed(box)]
         assert forward == backward[::-1]
 

@@ -18,6 +18,7 @@ from leakyhurwitz.oracle import (
     oracle_disconnected,
 )
 from leakyhurwitz.series import Q
+from leakyhurwitz.verify import clear_caches
 
 
 def basis(particles=(), holes=()):
@@ -134,12 +135,6 @@ def memo_size():
     return sum(map(len, oracle._MOVES.values()))
 
 
-def clear_oracle_caches():
-    oracle._MOVES.clear()
-    _ket_state.cache_clear()
-    _alpha_built_state.cache_clear()
-
-
 class TestMoveMemo:
     """_apply_moves marks a state at its first visit, stores its signed
     moves at its second and reads them from its third."""
@@ -175,24 +170,22 @@ class TestMoveMemo:
             assert _apply_moves(comb, k, j) == want
         assert oracle._MOVES[k, j][lone] == []
 
-    def test_cold_query_keeps_no_moves(self):
+    def test_cold_query_keeps_no_moves(self, clean_caches):
         # a query and then its dual: their insertions run under different
         # (k, j), and the alpha-built states come from their own cache
-        clear_oracle_caches()
         assert oracle_disconnected((8, 6, 4), (6, 5, 3), 1, 1, 4) == (
             oracle_disconnected((6, 5, 3), (8, 6, 4), -1, 1, 4))
         assert memo_size() > 0
         assert all(v is False for memo in oracle._MOVES.values()
                    for v in memo.values())
 
-    def test_memo_stays_under_its_cap(self, monkeypatch):
+    def test_memo_stays_under_its_cap(self, monkeypatch, clean_caches):
         queries = [(mu, nu, k, 1, 2) for mu in partitions_of(5)
                    for k in (-1, 0, 1) for nu in partitions_of(5 - 2 * k)]
-        clear_oracle_caches()
         want = [oracle_disconnected(*q) for q in queries]
         assert memo_size() <= oracle._MOVE_CAP
         monkeypatch.setattr(oracle, "_MOVE_CAP", 60)
-        clear_oracle_caches()
+        clear_caches()
         got, sizes = [], []
         for q in queries:
             _ket_state.cache_clear()
@@ -221,9 +214,8 @@ class TestAlpha:
         with pytest.raises(ValueError):
             apply_alpha({VACUUM: Q(1)}, 0)
 
-    def test_alpha_built_states_match_apply_alpha(self):
+    def test_alpha_built_states_match_apply_alpha(self, clean_caches):
         # the cached int build equals rational alpha_{-p} from the vacuum
-        _alpha_built_state.cache_clear()
         for total in range(11):
             for p in partitions_of(total):
                 wide = {VACUUM: Q(1)}
@@ -372,10 +364,9 @@ class TestDisconnected:
         with pytest.raises(TypeError):
             oracle_disconnected(mu, nu, k, r, s)
 
-    def test_rejected_float_r_leaves_the_ket_cache_clean(self):
+    def test_rejected_float_r_leaves_the_ket_cache_clean(self, clean_caches):
         # 1.0 hashes like 1: a float r that reached _ket_state would
         # cache float amplitudes under the key of the valid query
-        _ket_state.cache_clear()
         with pytest.raises(TypeError):
             oracle_disconnected((3,), (1,), 1, 1.0, 2)
         assert oracle_disconnected((3,), (1,), 1, 1, 2) == Q(1, 2)

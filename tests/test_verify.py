@@ -2,17 +2,20 @@
 criterion 6 reports a crossing that raises, criterion 5 reports a
 parity gap that the engine breaks and a fitted coefficient that the Fock
 route contradicts, and the adjacent-pair search names a wall outside the
-arrangement.
+arrangement; clear_caches empties every memo, and run_all runs each
+criterion on cleared memos.
 
 For criteria 10 and 6 the engine is replaced by a cheap stand-in that
 satisfies every part of the criterion, so each test plants one bad value
 and reads the report.
 """
 import random
+import sys
 
 import pytest
 
-from leakyhurwitz import chambers, verify
+import leakyhurwitz as lh
+from leakyhurwitz import chambers, fock, oracle, verify
 from leakyhurwitz.chambers import wall, wall_name
 from leakyhurwitz.series import Q
 
@@ -146,3 +149,53 @@ def test_criterion_5_finds_a_changed_coefficient(monkeypatch):
     # four bases have terms, each failing at both points
     assert len(rep.failures) == 8
     assert all("!= Fock" in f for f in rep.failures)
+
+
+def library_globals(kinds):
+    """The globals of the loaded library modules that are kinds."""
+    return {(module, name): obj for module, m in tuple(sys.modules.items())
+            if module.startswith("leakyhurwitz.")
+            for name, obj in vars(m).items()
+            if isinstance(obj, kinds) and not name.startswith("__")}
+
+
+def test_clear_caches_empties_every_memo(clean_caches):
+    containers = library_globals((dict, list, set))
+    # numbers._P, the table of partition counts p(n), only grows and can
+    # never hold a wrong value, so it is kept
+    del containers["leakyhurwitz.numbers", "_P"]
+    before = {key: len(obj) for key, obj in containers.items()}
+    # both routes, connected and not, a fit, a crossing and a cut-and-join
+    # step fill every lru_cache
+    for query in [((9, 3), (6, 2), 2, 1, 2), ((24, 16), (20, 12), 4, 1, 2)]:
+        for connected in (True, False):
+            lh.evaluate(lh.make_query(*query, connected))
+    base = lh.lattice_point((9, 3), (6, 2), 2)
+    lh.fit_chamber_polynomial(base, 1, 2)
+    lh.wall_crossing_series(lh.wall((0,), (0,), 1), base, 1, 2)
+    lh.verify_cut_and_join((2, 1), 1, 1, 2)
+    caches = {obj for obj in library_globals(object).values()
+              if hasattr(obj, "cache_clear")}
+    assert all(c.cache_info().currsize for c in caches)
+    assert fock._MEMO and oracle._MOVES
+    verify.clear_caches()
+    assert not any(c.cache_info().currsize for c in caches)
+    assert not fock._MEMO and not oracle._MOVES
+    assert {key: len(obj) for key, obj in containers.items()} == before
+
+
+def test_run_all_checks_first_then_runs_each_on_cleared_memos(
+        monkeypatch, clean_caches):
+    def criterion():
+        fock._MEMO["planted"] = len(fock._MEMO)
+        return fock._MEMO["planted"]
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", {1: criterion, 2: criterion})
+    with pytest.raises(ValueError, match=r"^unknown criteria \[0, 11\]$"):
+        verify.run_all([1, 0, 11])
+    assert not fock._MEMO
+    fock._MEMO["planted"] = 5
+    # each report comes as its criterion ends, on the memos it left
+    reports = verify.run_all([1, 2])
+    assert next(reports) == 0 and fock._MEMO == {"planted": 0}
+    assert list(reports) == [0] and not fock._MEMO
