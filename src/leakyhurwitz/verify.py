@@ -554,7 +554,7 @@ def clear_caches():
 
 
 def run_all(numbers=None):
-    """The selected criteria's reports (default all), each on cleared memos."""
+    """One-shot iterator of the chosen criteria's reports, on cleared memos."""
     selected = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
     if unknown := [i for i in selected if i not in ALL_CRITERIA]:
         raise ValueError(f"unknown criteria {unknown}")

@@ -56,10 +56,9 @@ class TestOperatorLabels:
             with pytest.raises(ValueError, match="needs a z-variable"):
                 vev(ops, ())
 
-    def test_merged_and_plain_labels_share_a_memo_entry(self):
+    def test_merged_and_plain_labels_share_a_memo_entry(self, clean_caches):
         # <a3 E_{-1}(z) a_{-2}> merges into <E_2(z) a_{-2}>, which is
         # also a plain insertion's sequence
-        fock._MEMO.clear()
         assert connected_hurwitz((3,), (2,), 1, 2, 1) == Q(1, 2)
         before = len(fock._MEMO)
         connected_vev_series([insertion_op(2, 0), alpha_op(-2)], (3,))
@@ -93,8 +92,7 @@ class TestConnectedSeries:
         assert min(sum(e) for e in s.terms) == 2
         assert s.coefficient((3,)) == 0
 
-    def test_memo_survives_clearing(self):
-        fock._MEMO.clear()
+    def test_memo_survives_clearing(self, clean_caches):
         ops = hurwitz_sequence((5,), (2, 2), 1, 1)
         assert connected_vev_series(ops, (2,)).coefficient((2,)) == 20
 
@@ -275,8 +273,7 @@ class TestRelabelling:
         ((4, 1), (2, 1), 1, 1, 2, (2, 3)),
     ])
     def test_caps_order_of_an_earlier_query_is_not_reused(
-            self, mu, nu, k, r, s, caps):
-        fock._MEMO.clear()
+            self, mu, nu, k, r, s, caps, clean_caches):
         cold = capped_connected(mu, nu, k, r, s, caps)
         fock._MEMO.clear()
         capped_connected(mu, nu, k, r, s, tuple(reversed(caps)))

@@ -8,29 +8,28 @@ the fault is planted, so no value crosses between the two runs.
 """
 import inspect
 from functools import partial
+from operator import attrgetter
 
 import pytest
 
 from leakyhurwitz import chambers, cutjoin, fock, numbers, verify
 from leakyhurwitz.fock import connected_hurwitz
-from leakyhurwitz.numbers import partitions_of
 from leakyhurwitz.series import Q, TruncSeries
 from leakyhurwitz.verify import clear_caches
 
 pytestmark = pytest.mark.usefixtures("clean_caches")
 
 
-def caught(monkeypatch, check, where, name, fault):
+def caught(monkeypatch, check, cases, where, name, fault):
     """The failures of check(), which returns (checked, failures), with
-    fault planted as where.name; unplanted, check must pass on as many
-    cases."""
-    checked, failures = check()
-    assert checked and failures == []
+    fault planted as where.name; planted or not, check checks cases, and
+    unplanted it must pass."""
+    assert check() == (cases, [])
     with monkeypatch.context() as m:
         m.setattr(where, name, fault)
         clear_caches()
-        planted_checked, failures = check()
-    assert planted_checked == checked
+        checked, failures = check()
+    assert checked == cases
     return failures
 
 
@@ -46,7 +45,8 @@ def planted(function, old, new):
 
 def criterion(number):
     """Criterion number as a check: its report's (checked, failures)."""
-    return lambda: verify.ALL_CRITERIA[number]()[3:5]
+    return lambda: attrgetter("checked", "failures")(
+        verify.ALL_CRITERIA[number]())
 
 
 # criterion 3's two halves on smaller grids
@@ -57,7 +57,7 @@ connected_sweep = partial(verify.oracle_sweep, 5, 2, connected_hurwitz,
 
 def test_criterion_3_finds_empty_side_rests_read_as_zero(monkeypatch):
     rest = numbers._oracle_rest
-    assert caught(monkeypatch, connected_sweep, numbers, "_oracle_rest",
+    assert caught(monkeypatch, connected_sweep, 5878, numbers, "_oracle_rest",
                   lambda mu, nu, k, r, s: (
                       rest(mu, nu, k, r, s) if mu and nu else Q(0)))
 
@@ -68,7 +68,7 @@ def test_criterion_9_finds_the_zero_energy_cut_on_disconnected_sequences(
     # full expectation that prefix can still close off as a component
     vev = planted(fock._vev, "head < 0 or (head == 0 and connected)",
                   "head <= 0")
-    assert caught(monkeypatch, criterion(9), fock, "_vev", vev)
+    assert caught(monkeypatch, criterion(9), 126, fock, "_vev", vev)
 
 
 def test_criterion_3_finds_an_assembly_memo_keyed_on_mu_nu_s(monkeypatch):
@@ -80,7 +80,7 @@ def test_criterion_3_finds_an_assembly_memo_keyed_on_mu_nu_s(monkeypatch):
             memo[mu, nu, s] = assembly.__wrapped__(mu, nu, k, r, s)
         return memo[mu, nu, s]
 
-    assert caught(monkeypatch, small_sweep, numbers, "_assembly",
+    assert caught(monkeypatch, small_sweep, 1094, numbers, "_assembly",
                   keyed_on_mu_nu_s)
 
 
@@ -93,21 +93,13 @@ def test_criterion_3_finds_sigma_edges_over_2_to_the_n(monkeypatch):
         return TruncSeries(caps, {e: c / (1 + (sum(e) > 1))
                                   for e, c in sigma(form, caps).terms.items()})
 
-    assert caught(monkeypatch, small_sweep, fock, "sigma_series",
+    assert caught(monkeypatch, small_sweep, 1094, fock, "sigma_series",
                   over_2_to_the_n)
 
 
 def test_criterion_7_finds_brackets_built_on_sigma_2z_over_2(monkeypatch):
-    def steps():
-        """Criterion 7's steps with |nu| <= 3."""
-        steps = [(nu, k, r, s) for total in range(4)
-                 for nu in partitions_of(total) for k in (-1, 0, 1, 2)
-                 for r in (1, 2) for s in (1, 2)]
-        return len(steps), [step for step in steps
-                            if not cutjoin.verify_cut_and_join(*step)["ok"]]
-
     sigma = cutjoin.sigma_series
-    assert caught(monkeypatch, steps, cutjoin, "sigma_series",
+    assert caught(monkeypatch, criterion(7), 304, cutjoin, "sigma_series",
                   lambda form, caps: sigma(
                       tuple(2 * c for c in form), caps) * Q(1, 2))
 
@@ -116,7 +108,7 @@ def test_criterion_3_finds_the_inversion_missing_its_j_0_blocks(monkeypatch):
     # a proper block without insertions is a term of the inversion too
     block_sum = planted(numbers._block_sum, "for j in range(s + 1):",
                         "for j in range(1 if proper else 0, s + 1):")
-    assert caught(monkeypatch, connected_sweep, numbers, "_block_sum",
+    assert caught(monkeypatch, connected_sweep, 5878, numbers, "_block_sum",
                   block_sum)
 
 
@@ -126,7 +118,8 @@ def test_criterion_3_finds_the_block_sum_keeping_its_numerator_unscaled(
     # must grow with it
     block_sum = planted(numbers._block_sum, "num * (d // math.gcd(den, d))",
                         "num")
-    assert caught(monkeypatch, small_sweep, numbers, "_block_sum", block_sum)
+    assert caught(monkeypatch, small_sweep, 1094, numbers, "_block_sum",
+                  block_sum)
 
 
 def test_criterion_9_finds_the_torus_correction_dropped(monkeypatch):
@@ -134,7 +127,7 @@ def test_criterion_9_finds_the_torus_correction_dropped(monkeypatch):
     # the three genus-one pins, where the correction is nonzero, see it
     cmr = planted(numbers.cmr_leaky_r1, "c_k = Q(k * k - 1, 24)",
                   "c_k = Q(0)")
-    assert len(caught(monkeypatch, criterion(9), verify, "cmr_leaky_r1",
+    assert len(caught(monkeypatch, criterion(9), 126, verify, "cmr_leaky_r1",
                       cmr)) == 3
 
 
@@ -144,5 +137,5 @@ def test_criterion_6_finds_the_complement_side_sign_dropped(monkeypatch):
     split = planted(chambers._oriented_split,
                     "sign, w, delta = -1, complement_wall",
                     "sign, w, delta = 1, complement_wall")
-    assert len(caught(monkeypatch, criterion(6), chambers, "_oriented_split",
-                      split)) == 9
+    assert len(caught(monkeypatch, criterion(6), 85, chambers,
+                      "_oriented_split", split)) == 9

@@ -156,10 +156,9 @@ class TestMoveMemo:
         assert _apply_moves(comb, k, j) == want
 
     @pytest.mark.parametrize("k,j", [(1, 1), (1, 3), (-1, 1), (-1, 2)])
-    def test_state_with_only_zero_coefficients(self, k, j):
+    def test_state_with_only_zero_coefficients(self, k, j, clean_caches):
         # the one move of lone crosses zero with dw + k = 0, so it is
         # stored as an empty list and adds nothing on any path
-        oracle._MOVES.clear()
         lone = VACUUM if k > 0 else basis({1}, {-1})
         assert [dw + k for _, _, dw in _moves(lone, k)] == [0]
         other = basis({3}, {-1})

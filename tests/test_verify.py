@@ -151,20 +151,17 @@ def test_criterion_5_finds_a_changed_coefficient(monkeypatch):
     assert all("!= Fock" in f for f in rep.failures)
 
 
-def library_globals(kinds):
-    """The globals of the loaded library modules that are kinds."""
-    return {(module, name): obj for module, m in tuple(sys.modules.items())
-            if module.startswith("leakyhurwitz.")
-            for name, obj in vars(m).items()
-            if isinstance(obj, kinds) and not name.startswith("__")}
-
-
 def test_clear_caches_empties_every_memo(clean_caches):
-    containers = library_globals((dict, list, set))
+    # verify has loaded every library module; one walk finds their memos
+    library = {(module, name): obj for module, m in tuple(sys.modules.items())
+               if module.startswith("leakyhurwitz.")
+               for name, obj in vars(m).items() if not name.startswith("__")}
+    caches = {obj for obj in library.values() if hasattr(obj, "cache_clear")}
     # numbers._P, the table of partition counts p(n), only grows and can
     # never hold a wrong value, so it is kept
-    del containers["leakyhurwitz.numbers", "_P"]
-    before = {key: len(obj) for key, obj in containers.items()}
+    before = {key: len(obj) for key, obj in library.items()
+              if isinstance(obj, (dict, list, set))
+              and key != ("leakyhurwitz.numbers", "_P")}
     # both routes, connected and not, a fit, a crossing and a cut-and-join
     # step fill every lru_cache
     for query in [((9, 3), (6, 2), 2, 1, 2), ((24, 16), (20, 12), 4, 1, 2)]:
@@ -174,14 +171,12 @@ def test_clear_caches_empties_every_memo(clean_caches):
     lh.fit_chamber_polynomial(base, 1, 2)
     lh.wall_crossing_series(lh.wall((0,), (0,), 1), base, 1, 2)
     lh.verify_cut_and_join((2, 1), 1, 1, 2)
-    caches = {obj for obj in library_globals(object).values()
-              if hasattr(obj, "cache_clear")}
     assert all(c.cache_info().currsize for c in caches)
     assert fock._MEMO and oracle._MOVES
     verify.clear_caches()
     assert not any(c.cache_info().currsize for c in caches)
     assert not fock._MEMO and not oracle._MOVES
-    assert {key: len(obj) for key, obj in containers.items()} == before
+    assert {key: len(library[key]) for key in before} == before
 
 
 def test_run_all_checks_first_then_runs_each_on_cleared_memos(
