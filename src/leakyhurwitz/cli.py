@@ -1,6 +1,7 @@
-"""Command-line front end: single numbers, batch tables, chamber fits,
-wall crossings, verification suites, and DOT dumps of the commutation
-recursion.
+"""Command-line front end: single numbers and batch tables, and chamber
+fits, wall crossings, verification suites and DOT dumps of the
+commutation recursion, whose handlers live in commands.py and load only
+when one of them runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 the
 reader closed stdout (128 + SIGPIPE, as the shell reports it).  Records
@@ -12,10 +13,8 @@ inputs; only the timing field varies between runs.
 """
 import argparse
 import contextlib
-import json
 import os
 import sys
-import time
 
 from .numbers import (
     HurwitzCache,
@@ -26,9 +25,6 @@ from .numbers import (
     make_query,
     twice_genus,
 )
-
-# chambers, cutjoin, fock and verify are imported inside the commands
-# that use them, so compute and table load only the modules they run
 
 CACHE_ENV = "LEAKYHURWITZ_CACHE"
 RECORD_FORMATS = ("plain", "json", "csv")
@@ -64,16 +60,6 @@ def parse_list(text, flag, expected="a positive integer part", low=1):
     return tuple(out)
 
 
-def parse_indices(text, flag, length, side):
-    """Comma-separated 1-based part positions for a wall index set."""
-    idx = parse_list(text, flag, "a 1-based part position")
-    for pos, i in enumerate(idx, start=1):
-        if i > length:
-            raise UsageError(f"{flag}: position {pos}: part position {i} "
-                             f"exceeds the {length} {side}-parts")
-    return frozenset(i - 1 for i in idx)
-
-
 def resolve_s(args, m, n):
     """The insertion count, either given or derived from the genus.
 
@@ -101,17 +87,6 @@ def resolve_s(args, m, n):
             f"--s auto: 2g-2+m+n = {need} is not a nonnegative "
             f"multiple of r = {args.r}")
     return need // args.r
-
-
-def parse_caps(text, r, s):
-    caps = parse_list(text, "--caps", "a nonnegative integer", 0)
-    if len(caps) != s:
-        raise UsageError(f"--caps: need one cap per insertion "
-                         f"({s}), got {len(caps)}")
-    if any(c < r + 1 for c in caps):
-        raise UsageError(f"--caps: every cap must be >= r+1 = {r + 1} "
-                         f"to keep the extracted coefficient")
-    return caps
 
 
 @contextlib.contextmanager
@@ -238,176 +213,12 @@ def cmd_table(args, out):
     return 0
 
 
-def cmd_chamber_fit(args, out):
-    from .chambers import (ChamberFitError, fit_chamber_polynomial,
-                           format_chamber_report, lattice_point)
-    mu = parse_list(args.mu, "--mu")
-    nu = parse_list(args.nu, "--nu")
-    if not mu or not nu:
-        raise UsageError("--mu/--nu: chamber fits need nonempty profiles")
-    s = resolve_s(args, len(mu), len(nu))
-    try:
-        base = lattice_point(mu, nu, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    start = time.perf_counter()
-    try:
-        poly = fit_chamber_polynomial(base, args.r, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    except ChamberFitError as exc:
-        print(f"chamber fit failed: {exc}", file=sys.stderr)
-        return 1
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
-    if args.format == "json":
-        terms = {mono: f"{c.numerator}/{c.denominator}"
-                 for mono, c in poly.named_terms()}
-        rec = {
-            "mu": list(base.mu), "nu": list(base.nu), "k": base.k,
-            "r": poly.r, "s": poly.s,
-            "degree": poly.degree,
-            "realized_degree": poly.realized_degree(),
-            "terms": terms,
-            "signs": list(poly.signs),
-            "ms": ms,
-        }
-        out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    else:
-        out.write(format_chamber_report(poly) + "\n")
-    return 0
-
-
-def cmd_wall_cross(args, out):
-    from .chambers import (delta_of, format_wall_report, lattice_point, wall,
-                           wall_crossing_genus0, wall_crossing_series)
-    mu = parse_list(args.mu, "--mu")
-    nu = parse_list(args.nu, "--nu")
-    if not mu or not nu:
-        raise UsageError("--mu/--nu: wall crossings need nonempty profiles")
-    s = resolve_s(args, len(mu), len(nu))
-    I = parse_indices(args.wall_I, "--wall-I", len(mu), "mu")
-    J = parse_indices(args.wall_J, "--wall-J", len(nu), "nu")
-    w = wall(I, J, args.wall_t)
-    try:
-        point = lattice_point(mu, nu, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    start = time.perf_counter()
-    try:
-        value = wall_crossing_series(w, point, args.r, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    ms = round((time.perf_counter() - start) * 1000.0, 3)
-    delta = delta_of(w, point)
-    status = 0
-    cross_check = None
-    if args.r == 1 and s == len(mu) + len(nu) - 2:
-        cross_check = wall_crossing_genus0(w, point)
-        if cross_check != value:
-            print(f"verification failure: series {value} != genus-zero "
-                  f"form {cross_check} at mu={list(mu)} nu={list(nu)} "
-                  f"k={args.k}", file=sys.stderr)
-            status = 1
-    if args.format == "json":
-        rec = {
-            "wall": {"I": sorted(i + 1 for i in w.I),
-                     "J": sorted(j + 1 for j in w.J), "t": w.t},
-            "mu": list(point.mu), "nu": list(point.nu), "k": point.k,
-            "r": args.r, "s": s,
-            "delta": delta,
-            "num": str(value.numerator), "den": str(value.denominator),
-            "genus0_agrees": (None if cross_check is None
-                              else cross_check == value),
-            "ms": ms,
-        }
-        out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    else:
-        out.write(format_wall_report(w, point, value, delta) + "\n")
-    return status
-
-
-def cmd_cutjoin_verify(args, out):
-    from .cutjoin import verify_cut_and_join
-    nu = parse_list(args.nu, "--nu")
-    s = resolve_s(args, 0, 0)
-    if s < 1:
-        raise UsageError("--s: the evolution step needs s >= 1")
-    try:
-        report = verify_cut_and_join(nu, args.k, args.r, s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.format == "json":
-        rec = {
-            "nu": list(report["nu"]), "k": report["k"], "r": report["r"],
-            "s": report["s"], "ok": report["ok"],
-            "profiles": report["profiles"],
-            "mismatches": [
-                {"profile": list(prof),
-                 "expected": f"{w.numerator}/{w.denominator}",
-                 "got": f"{g.numerator}/{g.denominator}"}
-                for prof, w, g in report["mismatches"]],
-        }
-        out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    else:
-        mark = "ok" if report["ok"] else "MISMATCH"
-        out.write(f"cut-and-join step nu={list(report['nu'])} "
-                  f"k={report['k']} r={report['r']} s={report['s']}: "
-                  f"{mark} over {report['profiles']} profiles\n")
-        for prof, want, got in report["mismatches"]:
-            out.write(f"  profile {list(prof)}: expected "
-                      f"{want.numerator}/{want.denominator}, got "
-                      f"{got.numerator}/{got.denominator}\n")
-    return 0 if report["ok"] else 1
-
-
-def cmd_oracle_verify(args, out):
-    from . import verify as verify_mod
-    if args.max_size < 0 or args.max_s < 0:
-        raise UsageError("--max-size/--max-s: must be >= 0")
-    checked, failures = verify_mod.oracle_sweep(args.max_size, args.max_s)
-    if args.format == "json":
-        rec = {"checked": checked, "mismatches": len(failures),
-               "first_mismatches": failures[:10]}
-        out.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    else:
-        out.write(f"oracle agreement: {checked} queries checked, "
-                  f"{len(failures)} mismatches\n")
-        for line in failures[:10]:
-            out.write(f"  {line}\n")
-    return 0 if not failures else 1
-
-
-def cmd_tree_dump(args, out):
-    from .fock import commutation_tree_dot, hurwitz_sequence
-    mu = parse_list(args.mu, "--mu")
-    nu = parse_list(args.nu, "--nu")
-    s = resolve_s(args, len(mu), len(nu))
-    caps = ((args.r + 1,) * s if args.caps is None
-            else parse_caps(args.caps, args.r, s))
-    ops = hurwitz_sequence(mu, nu, args.k, s)
-    if not ops:
-        raise UsageError("--mu/--nu/--s: nothing to dump for the empty "
-                         "operator sequence")
-    if args.max_nodes < 1:
-        raise UsageError("--max-nodes: must be >= 1")
-    dot = commutation_tree_dot(ops, caps, max_nodes=args.max_nodes)
-    out.write(dot if dot.endswith("\n") else dot + "\n")
-    return 0
-
-
-def cmd_selftest(args, out):
-    from . import verify as verify_mod
-    numbers = sorted(set(parse_list(args.criteria or "", "--criteria",
-                                    "a criterion number", 0))) or None
-    try:
-        reports = verify_mod.run_all(numbers)
-    except ValueError as exc:
-        raise UsageError(f"--criteria: {exc}") from None
-    all_ok = True
-    for rep in reports:
-        all_ok = all_ok and rep.ok
-        print(verify_mod.format_report(rep), file=out, flush=True)
-    return 0 if all_ok else 1
+def _report(name):
+    """The report subcommand handler commands.name, loaded as it runs."""
+    def run(args, out):
+        from . import commands
+        return getattr(commands, name)(args, out)
+    return run
 
 
 # -- argument wiring -----------------------------------------------------
@@ -464,7 +275,7 @@ def build_parser():
     p = sub.add_parser("chamber-fit", help="exact chamber polynomial")
     _add_query_flags(p)
     _add_format(p, REPORT_FORMATS)
-    p.set_defaults(func=cmd_chamber_fit)
+    p.set_defaults(func=_report("cmd_chamber_fit"))
 
     p = sub.add_parser("wall-cross", help="wall-crossing jump at a point")
     _add_query_flags(p)
@@ -473,7 +284,7 @@ def build_parser():
     p.add_argument("--wall-t", type=int, required=True,
                    help="insertion label of the wall")
     _add_format(p, REPORT_FORMATS)
-    p.set_defaults(func=cmd_wall_cross)
+    p.set_defaults(func=_report("cmd_wall_cross"))
 
     p = sub.add_parser("cutjoin-verify",
                        help="one evolution step of the cut-and-join PDE")
@@ -482,14 +293,14 @@ def build_parser():
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     _add_format(p, REPORT_FORMATS)
-    p.set_defaults(func=cmd_cutjoin_verify)
+    p.set_defaults(func=_report("cmd_cutjoin_verify"))
 
     p = sub.add_parser("oracle-verify",
                        help="engine vs direct Fock oracle sweep")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--max-s", type=int, default=3)
     _add_format(p, REPORT_FORMATS)
-    p.set_defaults(func=cmd_oracle_verify)
+    p.set_defaults(func=_report("cmd_oracle_verify"))
 
     p = sub.add_parser("tree-dump",
                        help="DOT digraph of the commutation recursion")
@@ -497,12 +308,12 @@ def build_parser():
     p.add_argument("--caps", default=None,
                    help="per-insertion truncation override")
     p.add_argument("--max-nodes", type=int, default=400)
-    p.set_defaults(func=cmd_tree_dump)
+    p.set_defaults(func=_report("cmd_tree_dump"))
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default all)")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=_report("cmd_selftest"))
 
     return parser
 
@@ -523,4 +334,6 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # run leakyhurwitz.cli's main: commands.py raises that module's UsageError
+    from .cli import main
     sys.exit(main())

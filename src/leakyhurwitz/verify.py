@@ -554,15 +554,18 @@ def clear_caches():
 
 
 def run_all(numbers=None):
-    """One-shot iterator of the chosen criteria's reports, on cleared memos."""
+    """One-shot iterator of the chosen criteria's reports, on cleared memos,
+    which it clears again however it stops."""
     selected = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
     if unknown := [i for i in selected if i not in ALL_CRITERIA]:
         raise ValueError(f"unknown criteria {unknown}")
     def reports():
-        for i in selected:
+        try:
+            for i in selected:
+                clear_caches()
+                yield ALL_CRITERIA[i]()
+        finally:
             clear_caches()
-            yield ALL_CRITERIA[i]()
-        clear_caches()
     return reports()
 
 

@@ -632,6 +632,7 @@ class TestProcessLevel:
         [*TestWallCross.POINT, "--wall-I", "1", "--wall-J", "1"],
         ["cutjoin-verify", "--nu", "2", "--k", "0"],
         ["oracle-verify", "--max-size", "1"],
+        ["tree-dump", "--mu", "3", "--nu", "1", "--k", "1", "--s", "2"],
         ["selftest", "--criteria", "1"],
     ], ids=lambda argv: argv[0])
     def test_lazily_importing_command_runs_in_a_fresh_process(self, argv):
@@ -642,6 +643,17 @@ class TestProcessLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+    def test_report_command_usage_error_under_python_m(self):
+        # commands.py raises the UsageError of leakyhurwitz.cli, which
+        # main must catch when cli.py also runs as __main__
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakyhurwitz.cli", *TestWallCross.POINT,
+             "--wall-I", "3", "--wall-J", "1"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("usage error: --wall-I: position 1: part "
+                               "position 3 exceeds the 2 mu-parts\n")
 
     @pytest.mark.parametrize("argv", [
         ["compute", *ONE_PART, "--connected"],

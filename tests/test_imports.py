@@ -53,6 +53,28 @@ def test_cli_import_loads_only_the_modules_compute_uses():
                    "leakyhurwitz.numbers", "leakyhurwitz.oracle"]
 
 
+def test_compute_and_table_never_load_the_report_commands():
+    got = fresh(
+        "import contextlib, io, json\n"
+        "from leakyhurwitz import cli\n"
+        "loaded = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in [['compute', '--mu', '5', '--nu', '1,1,1', '--k',\n"
+        "                  '1', '--s', '2'], ['table', '--s', '1'],\n"
+        "                 ['tree-dump', '--mu', '3', '--nu', '1', '--k',\n"
+        "                  '1', '--s', '2']]:\n"
+        "        loaded.append([cli.main(argv),\n"
+        "                       'leakyhurwitz.commands' in sys.modules])\n"
+        "print(json.dumps(loaded))")
+    assert got == [[0, False], [0, False], [0, True]]
+
+
+def test_cli_defines_only_the_record_handlers():
+    from leakyhurwitz import cli
+    assert sorted(name for name in vars(cli) if name.startswith("cmd_")) == [
+        "cmd_compute", "cmd_table"]
+
+
 def test_oracle_import_shares_nothing_with_the_engine():
     # the two routes share nothing above the rational-number type
     got = fresh(f"import json, leakyhurwitz.oracle\nprint({LOADED})")

@@ -139,3 +139,13 @@ def test_criterion_6_finds_the_complement_side_sign_dropped(monkeypatch):
                     "sign, w, delta = 1, complement_wall")
     assert len(caught(monkeypatch, criterion(6), 85, chambers,
                       "_oriented_split", split)) == 9
+
+
+def test_criterion_6_finds_the_r_1_coefficient_extracted(monkeypatch):
+    # (2,)*s is the extracted degree only at r = 1; verify imports the
+    # crossing by name, so the fault is planted there
+    crossing = planted(chambers.wall_crossing_series,
+                       "total.coefficient(caps)",
+                       "total.coefficient((2,) * s)")
+    assert len(caught(monkeypatch, criterion(6), 85, verify,
+                      "wall_crossing_series", crossing)) == 10

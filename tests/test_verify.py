@@ -3,7 +3,7 @@ criterion 6 reports a crossing that raises, criterion 5 reports a
 parity gap that the engine breaks and a fitted coefficient that the Fock
 route contradicts, and the adjacent-pair search names a wall outside the
 arrangement; clear_caches empties every memo, and run_all runs each
-criterion on cleared memos.
+criterion on cleared memos and leaves them empty however it ends.
 
 For criteria 10 and 6 the engine is replaced by a cheap stand-in that
 satisfies every part of the criterion, so each test plants one bad value
@@ -194,3 +194,33 @@ def test_run_all_checks_first_then_runs_each_on_cleared_memos(
     reports = verify.run_all([1, 2])
     assert next(reports) == 0 and fock._MEMO == {"planted": 0}
     assert list(reports) == [0] and not fock._MEMO
+
+
+def memo_sizes():
+    """len(fock._MEMO) and the summed size of every library lru_cache."""
+    caches = {f for name, m in tuple(sys.modules.items())
+              if name.startswith("leakyhurwitz.")
+              for f in vars(m).values() if hasattr(f, "cache_clear")}
+    return len(fock._MEMO), sum(c.cache_info().currsize for c in caches)
+
+
+def test_run_all_clears_after_a_criterion_that_raises(monkeypatch,
+                                                      clean_caches):
+    first = verify.ALL_CRITERIA[1]
+
+    def raising():
+        first()
+        assert all(memo_sizes())
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(verify, "ALL_CRITERIA", {1: raising})
+    with pytest.raises(RuntimeError, match="planted"):
+        list(verify.run_all([1]))
+    assert memo_sizes() == (0, 0)
+
+
+def test_run_all_clears_when_closed_after_one_criterion(clean_caches):
+    reports = verify.run_all([1, 2])
+    assert next(reports).ok and all(memo_sizes())
+    reports.close()
+    assert memo_sizes() == (0, 0)
